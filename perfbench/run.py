@@ -6,7 +6,7 @@ into .bench_build/, runs one workload, checks its outputs and prints a
 report whose last line is one JSON object with the keys correct,
 attempted, failed and metrics:
 
-    python3 perfbench/run.py --workload fig7 --seed 42 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload fig7 --seed 42 --seconds 30 --trace 0
 
 --trace 0 reports the end-to-end metrics, --trace 1 the per-layer ones.
 README.md beside this file describes the workloads and every metric.
@@ -216,7 +216,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=metrics.WORKLOADS)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     if args.seed < 0 or args.seconds <= 0:

@@ -5,8 +5,10 @@
  * JSON document that run.py turns into metrics:
  *
  *  - untraced: set-up rounds (every point's System and access source
- *    built, timed and destroyed), then whole-grid passes through
- *    runExperiments for as long as another pass fits in --seconds;
+ *    built, timed and destroyed), then timed runs of every point for
+ *    as long as --seconds allows: whole-grid passes through
+ *    runExperiments where the workload has runner threads, otherwise
+ *    one point at a time, round-robin over the grid;
  *  - traced (--trace 1): one untraced pass, then one pass in which
  *    decorators defined here time every call into the access source,
  *    the DRAM-cache design and the off-chip backend, and a standalone
@@ -96,11 +98,14 @@ const WorkloadDef kWorkloads[] = {
     {"mixes-detailed", "mixes", 1, MemoryBackendKind::Detailed},
 };
 
-/** Set-up rounds per untraced run (set-up time is their median). */
-constexpr int kSetupRounds = 3;
+/** Set-up rounds per untraced run: at least kMinSetupRounds, then more
+ *  while they have used less than kSetupShare of the measuring time. */
+constexpr int kMinSetupRounds = 5;
+constexpr int kMaxSetupRounds = 25;
+constexpr double kSetupShare = 0.1;
 
-/** Cap on whole-grid passes per untraced run. */
-constexpr std::size_t kMaxPasses = 16;
+/** Cap on timed runs of one point per untraced run. */
+constexpr std::size_t kMaxReps = 64;
 
 std::uint64_t
 totalAccesses(const ExperimentSpec &spec)
@@ -583,19 +588,20 @@ runUntracedPass(const std::vector<ExperimentSpec> &specs, int threads)
     return pass;
 }
 
-/** Build (then destroy, untimed) every point's System and source. */
-double
+/** Build (then destroy, untimed) every point's System and source;
+ *  returns each point's seconds. */
+std::vector<double>
 setupRound(const std::vector<ExperimentSpec> &specs)
 {
-    double total = 0.0;
+    std::vector<double> seconds;
     for (const ExperimentSpec &spec : specs) {
         const Clock::time_point start = Clock::now();
         const auto system =
             std::make_unique<System>(spec.system, makeCacheFactory(spec));
         const std::unique_ptr<AccessSource> source = makeSource(spec);
-        total += secondsBetween(start, Clock::now());
+        seconds.push_back(secondsBetween(start, Clock::now()));
     }
-    return total;
+    return seconds;
 }
 
 /** Run fn(0..n-1) on `threads` threads (the caller is one of them);
@@ -672,7 +678,7 @@ struct Options
 {
     std::string workload;
     std::uint64_t seed = 42;
-    double seconds = 20.0;
+    double seconds = 30.0;
     bool trace = false;
     std::string out;
     std::string scratch = ".bench_build/store-scratch";
@@ -768,6 +774,16 @@ doublesJson(const std::vector<double> &values)
     return json::Value(std::move(out));
 }
 
+/** One array of seconds per point. */
+json::Value
+perPointJson(const std::vector<std::vector<double>> &seconds)
+{
+    json::Array out;
+    for (const std::vector<double> &runs : seconds)
+        out.push_back(doublesJson(runs));
+    return json::Value(std::move(out));
+}
+
 int
 run(const Options &opts)
 {
@@ -806,43 +822,82 @@ run(const Options &opts)
     std::vector<SimResult> reference;
     json::Array mismatched;
     if (!opts.trace) {
-        std::vector<double> setup;
-        for (int r = 0; r < kSetupRounds; ++r)
-            setup.push_back(setupRound(specs));
-        doc.set("setup_s", doublesJson(setup));
-
-        // Whole passes only: go on while one more pass as long as the
-        // last one still fits in the measuring time.
-        std::vector<Pass> passes;
         const Clock::time_point start = Clock::now();
-        do {
-            passes.push_back(runUntracedPass(specs, def->threads));
-            std::fprintf(stderr, "perfbench: %s pass %zu: %.3f s\n",
-                         def->name, passes.size(), passes.back().wallS);
-        } while (passes.size() < kMaxPasses &&
-                 secondsBetween(start, Clock::now()) +
-                         passes.back().wallS <=
-                     opts.seconds);
+        const auto elapsed = [&] {
+            return secondsBetween(start, Clock::now());
+        };
 
-        json::Array passes_json;
-        for (const Pass &pass : passes) {
-            json::Value p{json::Object{}};
-            p.set("wall_s", pass.wallS);
-            p.set("point_s", doublesJson(pass.pointS));
-            passes_json.push_back(std::move(p));
+        std::vector<std::vector<double>> setup_s(specs.size());
+        for (int r = 0; r < kMaxSetupRounds &&
+                        (r < kMinSetupRounds ||
+                         elapsed() < kSetupShare * opts.seconds);
+             ++r) {
+            const std::vector<double> round = setupRound(specs);
+            for (std::size_t i = 0; i < specs.size(); ++i)
+                setup_s[i].push_back(round[i]);
         }
-        doc.set("passes", json::Value(std::move(passes_json)));
+        doc.set("setup_s", perPointJson(setup_s));
 
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            const std::string first = resultText(passes[0].results[i]);
-            for (std::size_t p = 1; p < passes.size(); ++p) {
-                if (resultText(passes[p].results[i]) != first) {
-                    mismatched.push_back(static_cast<std::uint64_t>(i));
+        // Every timed run of every point; a point whose result differs
+        // from its first run's fails the output check.
+        std::vector<std::vector<double>> point_s(specs.size());
+        std::vector<std::string> first(specs.size());
+        std::vector<char> differs(specs.size(), 0);
+        reference.resize(specs.size());
+        const auto record = [&](std::size_t i, double seconds,
+                                SimResult &&result) {
+            point_s[i].push_back(seconds);
+            std::string text = resultText(result);
+            if (point_s[i].size() == 1) {
+                first[i] = std::move(text);
+                reference[i] = std::move(result);
+            } else if (text != first[i]) {
+                differs[i] = 1;
+            }
+        };
+
+        json::Array pass_wall_s;
+        if (def->threads > 1) {
+            // Whole passes, as users run figures: go on while one more
+            // pass as long as the last one still fits.
+            double last = 0.0;
+            do {
+                Pass pass = runUntracedPass(specs, def->threads);
+                for (std::size_t i = 0; i < specs.size(); ++i)
+                    record(i, pass.pointS[i], std::move(pass.results[i]));
+                last = pass.wallS;
+                pass_wall_s.push_back(last);
+                std::fprintf(stderr, "perfbench: %s pass %zu: %.3f s\n",
+                             def->name, pass_wall_s.size(), last);
+            } while (pass_wall_s.size() < kMaxReps &&
+                     elapsed() + last <= opts.seconds);
+        } else {
+            // Serial: one point at a time, round-robin over the grid, so
+            // each point's runs spread over the whole measuring time and
+            // a slow spell of a shared host costs single runs rather
+            // than whole passes. A point runs again while its previous
+            // run would still fit.
+            for (std::size_t k = 0; k < kMaxReps * specs.size(); ++k) {
+                const std::size_t i = k % specs.size();
+                if (k >= specs.size() &&
+                    elapsed() + point_s[i].back() > opts.seconds)
                     break;
-                }
+                const Clock::time_point t0 = Clock::now();
+                SimResult result = runExperiment(specs[i]);
+                record(i, secondsBetween(t0, Clock::now()),
+                       std::move(result));
+                if (i + 1 == specs.size())
+                    std::fprintf(stderr,
+                                 "perfbench: %s round %zu ends at %.3f s\n",
+                                 def->name, k / specs.size() + 1,
+                                 elapsed());
             }
         }
-        reference = std::move(passes[0].results);
+        doc.set("point_s", perPointJson(point_s));
+        doc.set("pass_wall_s", json::Value(std::move(pass_wall_s)));
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            if (differs[i])
+                mismatched.push_back(static_cast<std::uint64_t>(i));
     } else {
         doc.set("calibration", calibrate());
         Pass untraced = runUntracedPass(specs, def->threads);
