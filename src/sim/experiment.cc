@@ -162,7 +162,6 @@ warmPrefixKey(const ExperimentSpec &spec)
     ExperimentSpec prefix = spec;
     prefix.accesses = 0;
     prefix.quick = false;
-    prefix.system.engineThreads = 1;
     return json::write(specToJson(prefix));
 }
 

@@ -29,7 +29,7 @@
 namespace unison {
 
 /** Full experiment specification. Serializable: see sim/spec_json.hh
- *  for the JSON schema (`unison-spec/1`). */
+ *  for the JSON schema (`unison-spec/5`). */
 struct ExperimentSpec
 {
     Workload workload = Workload::WebServing;
@@ -115,9 +115,9 @@ bool checkpointEligible(const ExperimentSpec &spec);
  * Canonical identity of the spec's warm-up prefix: two specs with
  * equal keys simulate byte-identical system states over
  * [0, warmupAccesses). The key is the spec's JSON serialization with
- * the measured-window-only fields -- total accesses, quick, and
- * engineThreads -- normalized away, since none of them can influence
- * the stream or the state before an explicit warm boundary.
+ * the measured-window-only fields -- total accesses and quick --
+ * normalized away, since neither can influence the stream or the
+ * state before an explicit warm boundary.
  */
 std::string warmPrefixKey(const ExperimentSpec &spec);
 

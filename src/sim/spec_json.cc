@@ -67,15 +67,6 @@ asCount(const Value &v, const char *what, std::int64_t lo,
     return static_cast<int>(n);
 }
 
-/** Core-count ceiling of a spec schema version. v3 and earlier were
- *  written (and validated) against a 256-core world; keeping their
- *  cap preserves those documents' exact validation behaviour. */
-std::int64_t
-coreCap(int version)
-{
-    return version >= 4 ? kMaxCores : 256;
-}
-
 // -------------------------------------------------- workload params
 
 Value
@@ -107,14 +98,14 @@ workloadParamsToJson(const WorkloadParams &p)
 }
 
 WorkloadParams
-workloadParamsFromJson(const Value &value, int version)
+workloadParamsFromJson(const Value &value)
 {
     ObjectReader r(value, "workload params");
     WorkloadParams p;
     p.name = r.req("name").asString();
     p.datasetBytes = r.req("datasetBytes").asUint();
     p.numCores =
-        asCount(r.req("numCores"), "numCores", 1, coreCap(version));
+        asCount(r.req("numCores"), "numCores", 1, kMaxCores);
     p.numFunctions =
         asCount(r.req("numFunctions"), "numFunctions", 1, 1 << 20);
     p.functionZipfAlpha = r.req("functionZipfAlpha").asDouble();
@@ -141,11 +132,8 @@ workloadParamsFromJson(const Value &value, int version)
 
 // ------------------------------------------------- scenario params
 
-/** `version`: schema version of the enclosing spec. The datacenter
- *  generator knobs joined in v4; they are emitted and required only
- *  there, so every pre-v4 document round-trips byte-identically. */
 Value
-scenarioParamsToJson(const ScenarioParams &p, int version)
+scenarioParamsToJson(const ScenarioParams &p)
 {
     Value out{Object{}};
     out.set("kind", scenarioToken(p.kind));
@@ -155,19 +143,17 @@ scenarioParamsToJson(const ScenarioParams &p, int version)
     out.set("writeFraction", p.writeFraction);
     out.set("instrsPerMemRef", p.instrsPerMemRef);
     out.set("strideBlocks", p.strideBlocks);
-    if (version >= 4) {
-        out.set("numKeys", p.numKeys);
-        out.set("keyZipfAlpha", p.keyZipfAlpha);
-        out.set("recordBlocks", p.recordBlocks);
-        out.set("requestBlocksMean", p.requestBlocksMean);
-        out.set("numTables", p.numTables);
-        out.set("lookupsPerTable", p.lookupsPerTable);
-    }
+    out.set("numKeys", p.numKeys);
+    out.set("keyZipfAlpha", p.keyZipfAlpha);
+    out.set("recordBlocks", p.recordBlocks);
+    out.set("requestBlocksMean", p.requestBlocksMean);
+    out.set("numTables", p.numTables);
+    out.set("lookupsPerTable", p.lookupsPerTable);
     return out;
 }
 
 ScenarioParams
-scenarioParamsFromJson(const Value &value, int version)
+scenarioParamsFromJson(const Value &value)
 {
     ObjectReader r(value, "scenario params");
     ScenarioParams p;
@@ -179,30 +165,25 @@ scenarioParamsFromJson(const Value &value, int version)
     p.instrsPerMemRef = r.req("instrsPerMemRef").asDouble();
     p.strideBlocks = static_cast<std::uint32_t>(
         asCount(r.req("strideBlocks"), "strideBlocks", 1, 1 << 20));
-    if (version >= 4) {
-        p.numKeys = r.req("numKeys").asUint();
-        if (p.numKeys < 2 || p.numKeys > (1ull << 32))
-            throw json::Error("numKeys must be in [2, 2^32], got " +
-                              std::to_string(p.numKeys));
-        p.keyZipfAlpha = r.req("keyZipfAlpha").asDouble();
-        p.recordBlocks = static_cast<std::uint32_t>(asCount(
-            r.req("recordBlocks"), "recordBlocks", 1, 1 << 20));
-        p.requestBlocksMean = r.req("requestBlocksMean").asDouble();
-        p.numTables = static_cast<std::uint32_t>(
-            asCount(r.req("numTables"), "numTables", 1, 4096));
-        p.lookupsPerTable = static_cast<std::uint32_t>(asCount(
-            r.req("lookupsPerTable"), "lookupsPerTable", 1, 4096));
-    } else if (scenarioIsDatacenter(p.kind)) {
-        throw json::Error("scenario '" + scenarioToken(p.kind) +
-                          "' requires spec schema " + kSpecSchema);
-    }
+    p.numKeys = r.req("numKeys").asUint();
+    if (p.numKeys < 2 || p.numKeys > (1ull << 32))
+        throw json::Error("numKeys must be in [2, 2^32], got " +
+                          std::to_string(p.numKeys));
+    p.keyZipfAlpha = r.req("keyZipfAlpha").asDouble();
+    p.recordBlocks = static_cast<std::uint32_t>(
+        asCount(r.req("recordBlocks"), "recordBlocks", 1, 1 << 20));
+    p.requestBlocksMean = r.req("requestBlocksMean").asDouble();
+    p.numTables = static_cast<std::uint32_t>(
+        asCount(r.req("numTables"), "numTables", 1, 4096));
+    p.lookupsPerTable = static_cast<std::uint32_t>(
+        asCount(r.req("lookupsPerTable"), "lookupsPerTable", 1, 4096));
     return p;
 }
 
 // ------------------------------------------------------ mix parts
 
 Value
-mixToJson(const std::vector<MixPart> &mix, int version)
+mixToJson(const std::vector<MixPart> &mix)
 {
     json::Array parts;
     for (const MixPart &part : mix) {
@@ -213,8 +194,7 @@ mixToJson(const std::vector<MixPart> &mix, int version)
         if (part.custom)
             p.set("custom", workloadParamsToJson(*part.custom));
         if (part.scenario)
-            p.set("scenario",
-                  scenarioParamsToJson(*part.scenario, version));
+            p.set("scenario", scenarioParamsToJson(*part.scenario));
         if (!part.tracePath.empty())
             p.set("trace", part.tracePath);
         parts.push_back(std::move(p));
@@ -223,20 +203,20 @@ mixToJson(const std::vector<MixPart> &mix, int version)
 }
 
 std::vector<MixPart>
-mixFromJson(const Value &value, int version)
+mixFromJson(const Value &value)
 {
     std::vector<MixPart> mix;
     for (const Value &entry : value.asArray()) {
         ObjectReader r(entry, "mix part");
         MixPart part;
-        part.cores = asCount(r.req("cores"), "mix part cores", 1,
-                             coreCap(version));
+        part.cores =
+            asCount(r.req("cores"), "mix part cores", 1, kMaxCores);
         if (const Value *preset = r.opt("preset"))
             part.preset = workloadFromToken(preset->asString());
         if (const Value *custom = r.opt("custom"))
-            part.custom = workloadParamsFromJson(*custom, version);
+            part.custom = workloadParamsFromJson(*custom);
         if (const Value *scenario = r.opt("scenario"))
-            part.scenario = scenarioParamsFromJson(*scenario, version);
+            part.scenario = scenarioParamsFromJson(*scenario);
         if (const Value *trace = r.opt("trace"))
             part.tracePath = trace->asString();
         mix.push_back(std::move(part));
@@ -315,25 +295,16 @@ systemToJson(const SystemConfig &sys)
     out.set("warmFraction", sys.warmFraction);
     out.set("warmupAccesses", sys.warmupAccesses);
     out.set("perCoreAccessBudget", sys.perCoreAccessBudget);
-    out.set("engineThreads",
-            static_cast<std::int64_t>(sys.engineThreads));
     out.set("memoryBackend", memoryBackendId(sys.memoryBackend));
     return out;
 }
 
-/** `version`: schema version of the enclosing spec. engineThreads
- *  joined in v2 and memoryBackend in v3; an older document neither
- *  carries the newer keys (unknown-key rejection still fires if it
- *  does) nor needs them -- absent means the serial engine and the
- *  fast backend, which is what every older spec ran. v4 raised the
- *  core cap from 256 to kMaxCores (coreCap above). */
 SystemConfig
-systemFromJson(const Value &value, int version)
+systemFromJson(const Value &value)
 {
     ObjectReader r(value, "system");
     SystemConfig sys;
-    sys.numCores =
-        asCount(r.req("numCores"), "numCores", 1, coreCap(version));
+    sys.numCores = asCount(r.req("numCores"), "numCores", 1, kMaxCores);
     sys.cpiBase = r.req("cpiBase").asDouble();
     sys.maxOutstandingMisses = asCount(r.req("maxOutstandingMisses"),
                                        "maxOutstandingMisses", 1,
@@ -341,13 +312,8 @@ systemFromJson(const Value &value, int version)
     sys.warmFraction = r.req("warmFraction").asDouble();
     sys.warmupAccesses = r.req("warmupAccesses").asUint();
     sys.perCoreAccessBudget = r.req("perCoreAccessBudget").asUint();
-    sys.engineThreads =
-        version >= 2
-            ? asCount(r.req("engineThreads"), "engineThreads", 1, 4096)
-            : 1;
     sys.memoryBackend =
-        version >= 3 ? backendFromToken(r.req("memoryBackend").asString())
-                     : MemoryBackendKind::Fast;
+        backendFromToken(r.req("memoryBackend").asString());
     return sys;
 }
 
@@ -442,42 +408,17 @@ queueStatsFromJson(const Value &value)
 
 // ------------------------------------------------------------ spec
 
-namespace {
-
-/** Lowest schema version that expresses `spec`. Writing the lowest
- *  version keeps every document a pre-v4 study could have produced
- *  byte-identical to what it produced then. */
-int
-specSchemaVersion(const ExperimentSpec &spec)
-{
-    bool needs_v4 = spec.system.numCores > 256;
-    if (spec.customWorkload && spec.customWorkload->numCores > 256)
-        needs_v4 = true;
-    for (const MixPart &part : spec.mix) {
-        if (part.cores > 256)
-            needs_v4 = true;
-        if (part.custom && part.custom->numCores > 256)
-            needs_v4 = true;
-        if (part.scenario && scenarioIsDatacenter(part.scenario->kind))
-            needs_v4 = true;
-    }
-    return needs_v4 ? 4 : 3;
-}
-
-} // namespace
-
 json::Value
 specToJson(const ExperimentSpec &spec)
 {
-    const int version = specSchemaVersion(spec);
     Value out{Object{}};
-    out.set("schema", version >= 4 ? kSpecSchema : kSpecSchemaV3);
+    out.set("schema", kSpecSchema);
     out.set("workload", workloadToken(spec.workload));
     if (spec.customWorkload)
         out.set("customWorkload",
                 workloadParamsToJson(*spec.customWorkload));
     if (!spec.mix.empty())
-        out.set("mix", mixToJson(spec.mix, version));
+        out.set("mix", mixToJson(spec.mix));
     out.set("design", designToJson(spec.design));
     out.set("capacityBytes", spec.capacityBytes);
     out.set("accesses", spec.accesses);
@@ -492,33 +433,23 @@ specFromJson(const json::Value &value)
 {
     ObjectReader r(value, "spec");
     const std::string schema = r.req("schema").asString();
-    int version = 0;
-    if (schema == kSpecSchema)
-        version = 4;
-    else if (schema == kSpecSchemaV3)
-        version = 3;
-    else if (schema == kSpecSchemaV2)
-        version = 2;
-    else if (schema == kSpecSchemaV1)
-        version = 1;
-    else
+    if (schema != kSpecSchema)
         throw json::Error("unsupported spec schema '" + schema +
-                          "' (this build reads " + kSpecSchema + ", " +
-                          kSpecSchemaV3 + ", " + kSpecSchemaV2 +
-                          " and " + kSpecSchemaV1 + ")");
+                          "' (this build reads only " + kSpecSchema +
+                          "; re-export the document with --export-spec)");
 
     ExperimentSpec spec;
     spec.workload = workloadFromToken(r.req("workload").asString());
     if (const Value *custom = r.opt("customWorkload"))
-        spec.customWorkload = workloadParamsFromJson(*custom, version);
+        spec.customWorkload = workloadParamsFromJson(*custom);
     if (const Value *mix = r.opt("mix"))
-        spec.mix = mixFromJson(*mix, version);
+        spec.mix = mixFromJson(*mix);
     spec.design = designFromJson(r.req("design"));
     spec.capacityBytes = r.req("capacityBytes").asUint();
     spec.accesses = r.req("accesses").asUint();
     spec.quick = r.req("quick").asBool();
     spec.seed = r.req("seed").asUint();
-    spec.system = systemFromJson(r.req("system"), version);
+    spec.system = systemFromJson(r.req("system"));
     return spec;
 }
 
@@ -633,11 +564,10 @@ gridFromJson(const json::Value &value)
         throw json::Error("document has no 'schema' field");
 
     GridFile grid;
-    if (schema->asString() == kSpecSchema ||
-        schema->asString() == kSpecSchemaV3 ||
-        schema->asString() == kSpecSchemaV2 ||
-        schema->asString() == kSpecSchemaV1) {
-        // A bare spec is a one-point grid labelled by its design.
+    if (schema->asString().starts_with("unison-spec/")) {
+        // A bare spec is a one-point grid labelled by its design. Any
+        // spec version is routed here, so an old one gets
+        // specFromJson's re-export hint, not a grid-schema error.
         GridPoint point;
         point.spec = specFromJson(value);
         point.label = designId(point.spec.designKind());

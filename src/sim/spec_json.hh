@@ -7,18 +7,15 @@
  *
  * Three document kinds, each self-identifying via a "schema" field:
  *
- *  - `unison-spec/4`    one experiment spec (v1..v3 are still read:
- *                       v4 is v3 plus >256-core systems and the
- *                       datacenter scenario knobs [numKeys,
- *                       keyZipfAlpha, recordBlocks, requestBlocksMean,
- *                       numTables, lookupsPerTable], v2 is v3 minus
- *                       system.memoryBackend [defaults to "fast"], v1
- *                       is v2 minus system.engineThreads [defaults to
- *                       1]; writes float to the *lowest* version that
- *                       expresses the spec -- a spec with <= 256 cores
- *                       and no datacenter scenarios still writes v3,
- *                       so documents from older studies stay
- *                       byte-identical);
+ *  - `unison-spec/5`    one experiment spec -- the only spec version
+ *                       this build reads or writes. Every scenario
+ *                       carries the datacenter generator knobs
+ *                       [numKeys, keyZipfAlpha, recordBlocks,
+ *                       requestBlocksMean, numTables,
+ *                       lookupsPerTable]; core counts go up to
+ *                       kMaxCores. Any other `unison-spec/N` is a
+ *                       json::Error asking for a re-export with
+ *                       `unison_sim --export-spec`;
  *  - `unison-grid/1`    a named list of labelled specs (a sweep);
  *  - `unison-results/1` a list of (index, label, spec, result) points.
  *
@@ -32,10 +29,9 @@
  *  - design knobs come from the design registry's knob table, so the
  *    schema extends automatically when a design registers a knob.
  *
- * Not serialized through schema v3 (fixed at their Table III
- * defaults): the SRAM hierarchy geometry and the DRAM
- * organization/timing structs. Bump the schema version before
- * serializing them.
+ * Not serialized (fixed at their Table III defaults): the SRAM
+ * hierarchy geometry and the DRAM organization/timing structs. Bump
+ * the schema version before serializing them.
  */
 
 #ifndef UNISON_SIM_SPEC_JSON_HH
@@ -49,12 +45,7 @@
 
 namespace unison {
 
-inline constexpr const char *kSpecSchema = "unison-spec/4";
-/** Previous spec schemas, still accepted by specFromJson (and still
- *  *written* when a spec does not need v4 features). */
-inline constexpr const char *kSpecSchemaV3 = "unison-spec/3";
-inline constexpr const char *kSpecSchemaV2 = "unison-spec/2";
-inline constexpr const char *kSpecSchemaV1 = "unison-spec/1";
+inline constexpr const char *kSpecSchema = "unison-spec/5";
 inline constexpr const char *kGridSchema = "unison-grid/1";
 inline constexpr const char *kResultsSchema = "unison-results/1";
 
@@ -79,7 +70,7 @@ struct GridFile
 
 /** @name Grid documents
  * toJson accepts the points of a SweepGrid/figureGrid; fromJson also
- * accepts a bare `unison-spec/1` document as a one-point grid, so
+ * accepts a bare `unison-spec/5` document as a one-point grid, so
  * `unison_sim --spec` runs either document kind.
  */
 /**@{*/

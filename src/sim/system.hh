@@ -71,22 +71,6 @@ struct SystemConfig
     std::uint64_t perCoreAccessBudget = 0;
 
     /**
-     * Worker threads for the intra-experiment engine (1 = the serial
-     * reference engine). The SimResult is bit-identical for any value
-     * -- the same contract sweep-level --threads gives across
-     * experiments, applied inside one: producer threads shard the
-     * cores, run only per-core-independent work (stream generation and
-     * the private L1s) ahead of time, and a commit thread replays the
-     * recorded outcomes through the shared levels in exactly the
-     * serial engine's scheduling order. Sources whose streams are not
-     * per-core deterministic (trace readers, multi-core synthetic
-     * generators sharing one RNG) silently fall back to the serial
-     * engine, as do single-core systems and checkpoint capture/resume
-     * runs.
-     */
-    int engineThreads = 1;
-
-    /**
      * Timing model for *every* DRAM pool in the system: the off-chip
      * channel and each design's stacked pool (threaded to the designs
      * through DesignBuildContext). The fast analytic model is the
@@ -195,7 +179,7 @@ class System
      * from the snapshot instead of simulating [0, warmAccesses); the
      * caller must construct System and source from the identical spec
      * prefix (state shapes are fatal-checked, identity is the
-     * caller's contract). Either hook forces the serial engine.
+     * caller's contract).
      */
     SimResult run(AccessSource &source, std::uint64_t total_accesses,
                   const WarmCheckpoint *resume_from,
@@ -221,17 +205,11 @@ class System
     template <typename Source>
     SimResult dispatchCache(Source &source, std::uint64_t total_accesses);
 
-    /** Engine selection: the epoch-sharded front end when eligible,
-     *  else the serial one; both feed the same loop body. */
+    /** The timing loop, monomorphized on (source, cache) so the
+     *  per-access calls devirtualize (see run()). */
     template <typename Source, typename Cache>
     SimResult runLoop(Source &source, Cache &cache,
                       std::uint64_t total_accesses);
-
-    /** The timing loop, monomorphized on (front end, source, cache) so
-     *  the per-access calls devirtualize (see run()). */
-    template <typename FrontEnd, typename Source, typename Cache>
-    SimResult runLoopBody(FrontEnd &fe, Source &source, Cache &cache,
-                          std::uint64_t total_accesses);
 
     /** Predictor-accuracy SimResult fields (design-specific, cold). */
     void fillPredictorStats(SimResult &result) const;

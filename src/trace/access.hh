@@ -22,7 +22,7 @@ namespace unison {
  * datacenter consolidation studies ("hundreds of simulated cores");
  * the scheduler packs core ids into the low mantissa bits of its
  * clock keys, which holds comfortably up to this bound (see
- * System::runLoopBody).
+ * System::runLoop).
  */
 inline constexpr int kMaxCores = 1024;
 
@@ -110,19 +110,6 @@ class AccessSource
 
     /** Number of cores the source provides streams for. */
     virtual int numCores() const = 0;
-
-    /**
-     * True when core c's stream is a pure function of (source config,
-     * seed, c) -- independent of the order next() is called across
-     * cores. That independence is the eligibility condition for the
-     * epoch-sharded engine: its producer threads pull each core's
-     * stream ahead of the global commit order, so any source whose
-     * streams couple through shared mutable state (one RNG shared by
-     * several cores, a shared file cursor) must return false and run
-     * on the serial engine. Default false: a new source must opt in
-     * deliberately.
-     */
-    virtual bool perCoreDeterministic() const { return false; }
 
     /**
      * Warm-state checkpoint support. A source that returns true must

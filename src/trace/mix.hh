@@ -93,11 +93,6 @@ class MixedWorkload final : public AccessSource
     /** Label of the source driving `core`. */
     const std::string &coreLabel(int core) const;
 
-    /** Synthetic and scenario parts get one single-core generator per
-     *  core (seeded by global core id), so their streams are per-core
-     *  deterministic; only trace parts share a reader across cores. */
-    bool perCoreDeterministic() const override { return noTraceParts_; }
-
     /** Checkpointable iff every per-core generator is (trace readers
      *  are not); state is the concatenation of the owned sources'. */
     bool checkpointable() const override;
@@ -115,7 +110,6 @@ class MixedWorkload final : public AccessSource
 
     std::vector<std::unique_ptr<AccessSource>> owned_;
     std::vector<CoreBinding> cores_;
-    bool noTraceParts_ = true;
 };
 
 } // namespace unison

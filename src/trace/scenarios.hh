@@ -146,10 +146,6 @@ class ScenarioSource final : public AccessSource
     const ScenarioParams &params() const { return params_; }
     bool isProducer() const { return producer_; }
 
-    /** Single-core by construction: the stream is a pure function of
-     *  (params, seed, core_id). */
-    bool perCoreDeterministic() const override { return true; }
-
     bool checkpointable() const override { return true; }
 
     void

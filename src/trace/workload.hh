@@ -137,18 +137,6 @@ class SyntheticWorkload final : public AccessSource
         return AccessSourceKind::Synthetic;
     }
 
-    /**
-     * One RNG drives every core's episode draws, so with several cores
-     * the stream each core sees depends on the cross-core next()
-     * order; only the single-core degenerate case (mix parts are built
-     * this way) is per-core deterministic.
-     */
-    bool
-    perCoreDeterministic() const override
-    {
-        return params_.numCores == 1;
-    }
-
     bool checkpointable() const override { return true; }
 
     /** Mutable stream state: the RNG and each core's in-flight

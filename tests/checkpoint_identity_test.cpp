@@ -217,7 +217,6 @@ TEST(CheckpointIdentity, PrefixKeyIgnoresMeasuredWindowOnly)
     const ExperimentSpec a = baseSpec(DesignKind::Unison);
     ExperimentSpec b = a;
     b.accesses = 999'999;
-    b.system.engineThreads = 8;
     EXPECT_EQ(warmPrefixKey(a), warmPrefixKey(b));
 
     ExperimentSpec c = a;

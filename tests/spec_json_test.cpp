@@ -187,7 +187,7 @@ TEST(SpecJson, DuplicateJsonKeysAreRejected)
     EXPECT_THROW(json::parse("{\"a\": 1, \"a\": 2}"), json::Error);
 }
 
-// ----------------------------------------------- schema versioning
+// ------------------------------------------------- schema version
 
 TEST(SpecJson, MemoryBackendRoundTrips)
 {
@@ -196,7 +196,7 @@ TEST(SpecJson, MemoryBackendRoundTrips)
     expectSpecRoundTrip(spec);
 
     const std::string text = roundTripOnce(spec);
-    EXPECT_NE(text.find("\"schema\": \"unison-spec/3\""),
+    EXPECT_NE(text.find("\"schema\": \"unison-spec/5\""),
               std::string::npos);
     EXPECT_NE(text.find("\"memoryBackend\": \"detailed\""),
               std::string::npos);
@@ -205,119 +205,83 @@ TEST(SpecJson, MemoryBackendRoundTrips)
               MemoryBackendKind::Detailed);
 }
 
-TEST(SpecJson, OlderSchemasStillParseAndReEmitAsV3)
+TEST(SpecJson, OlderSpecSchemasAreRejectedWithAReExportHint)
 {
-    const std::string v3 = roundTripOnce(ExperimentSpec{});
-
-    // A genuine v2 document: v3 minus the memoryBackend key. It must
-    // parse to the fast backend (what every older spec ran) and
-    // re-serialize as v3 byte-identically to a fresh spec.
-    std::string v2 =
-        mutateDocument(v3, "unison-spec/3", "unison-spec/2");
-    v2 = mutateDocument(
-        v2, ",\n    \"memoryBackend\": \"fast\"", "");
-    const ExperimentSpec from_v2 = specFromJson(json::parse(v2));
-    EXPECT_EQ(from_v2.system.memoryBackend, MemoryBackendKind::Fast);
-    EXPECT_EQ(roundTripOnce(from_v2), v3);
-
-    // And a genuine v1 document: v2 minus engineThreads.
-    std::string v1 =
-        mutateDocument(v2, "unison-spec/2", "unison-spec/1");
-    v1 = mutateDocument(v1, ",\n    \"engineThreads\": 1", "");
-    const ExperimentSpec from_v1 = specFromJson(json::parse(v1));
-    EXPECT_EQ(from_v1.system.engineThreads, 1);
-    EXPECT_EQ(from_v1.system.memoryBackend, MemoryBackendKind::Fast);
-    EXPECT_EQ(roundTripOnce(from_v1), v3);
+    // Only unison-spec/5 is read. Every older version is an error that
+    // names the current schema and the way to get a current document,
+    // through both entry points (a spec inside a grid and a bare spec
+    // handed to --spec).
+    const std::string v5 = roundTripOnce(ExperimentSpec{});
+    for (int version = 1; version <= 4; ++version) {
+        const std::string old = "unison-spec/" + std::to_string(version);
+        SCOPED_TRACE(old);
+        const std::string text =
+            mutateDocument(v5, "unison-spec/5", old);
+        for (const bool as_grid : {false, true}) {
+            try {
+                if (as_grid)
+                    gridFromJson(json::parse(text));
+                else
+                    specFromJson(json::parse(text));
+                FAIL() << old << " must be rejected";
+            } catch (const json::Error &e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(old), std::string::npos) << what;
+                EXPECT_NE(what.find("unison-spec/5"), std::string::npos)
+                    << what;
+                EXPECT_NE(what.find("--export-spec"), std::string::npos)
+                    << what;
+            }
+        }
+    }
 }
 
-TEST(SpecJson, NewerKeyInOlderSchemaIsRejected)
+TEST(SpecJson, RetiredEngineThreadCountIsAnUnknownSystemKey)
 {
-    // An unknown-key error, not a silent ignore: a v2 document has no
-    // business carrying the v3 memoryBackend key.
+    // The system key that once chose the intra-experiment thread count
+    // is gone; a v5 document carrying it fails like any typo'd key.
+    // (Spelled in parts so the retired name appears only in docs.)
+    const std::string retired = std::string("engine") + "Threads";
     const std::string text = mutateDocument(
-        roundTripOnce(ExperimentSpec{}), "unison-spec/3",
-        "unison-spec/2");
-    EXPECT_THROW(specFromJson(json::parse(text)), json::Error);
+        roundTripOnce(ExperimentSpec{}), "\"memoryBackend\": \"fast\"",
+        "\"" + retired + "\": 1,\n    \"memoryBackend\": \"fast\"");
+    try {
+        specFromJson(json::parse(text));
+        FAIL() << "system." << retired << " must be rejected";
+    } catch (const json::Error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown key '" + retired + "'"),
+                  std::string::npos)
+            << what;
+    }
 }
 
-TEST(SpecJson, DatacenterScenarioFloatsTheSpecToV4)
+TEST(SpecJson, DatacenterAndPresetSpecsRoundTripAsV5)
 {
-    // The datacenter knobs are v4 keys; a spec that uses them must
-    // write v4 (and round-trip byte-exactly there).
-    ExperimentSpec spec;
-    spec.system.numCores = 4;
-    spec.mix = {mixScenario(ScenarioKind::YcsbKv, 4)};
-    spec.accesses = 1000;
-    expectSpecRoundTrip(spec);
+    // A 1024-core datacenter mix (the widest core count, scenario
+    // generator knobs) and the 16-core preset default both write the
+    // one schema and round-trip byte-exactly.
+    ExperimentSpec datacenter;
+    datacenter.system.numCores = kMaxCores;
+    datacenter.mix = {mixScenario(ScenarioKind::YcsbKv, kMaxCores)};
+    datacenter.accesses = 4096;
+    ExperimentSpec preset;
+    ASSERT_EQ(preset.system.numCores, 16);
+    for (const ExperimentSpec &spec : {datacenter, preset}) {
+        expectSpecRoundTrip(spec);
+        const std::string text = roundTripOnce(spec);
+        EXPECT_NE(text.find("\"schema\": \"unison-spec/5\""),
+                  std::string::npos);
+    }
 
-    const std::string text = roundTripOnce(spec);
-    EXPECT_NE(text.find("\"schema\": \"unison-spec/4\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"numKeys\""), std::string::npos);
-    EXPECT_NE(text.find("\"keyZipfAlpha\""), std::string::npos);
-
-    const ExperimentSpec reparsed = specFromJson(json::parse(text));
+    const ExperimentSpec reparsed =
+        specFromJson(json::parse(roundTripOnce(datacenter)));
+    EXPECT_EQ(reparsed.system.numCores, kMaxCores);
     ASSERT_EQ(reparsed.mix.size(), 1u);
+    EXPECT_EQ(reparsed.mix[0].cores, kMaxCores);
     ASSERT_TRUE(reparsed.mix[0].scenario.has_value());
     EXPECT_EQ(reparsed.mix[0].scenario->numKeys, 1ull << 20);
     EXPECT_EQ(reparsed.mix[0].scenario->recordBlocks, 16u);
-}
-
-TEST(SpecJson, ManyCoreSystemsFloatToV4)
-{
-    ExperimentSpec spec;
-    spec.system.numCores = 512;
-    spec.mix = {mixScenario(ScenarioKind::StreamScan, 512)};
-    spec.accesses = 1024;
-    expectSpecRoundTrip(spec);
-
-    const std::string text = roundTripOnce(spec);
-    EXPECT_NE(text.find("\"schema\": \"unison-spec/4\""),
-              std::string::npos);
-    const ExperimentSpec reparsed = specFromJson(json::parse(text));
-    EXPECT_EQ(reparsed.system.numCores, 512);
-    ASSERT_EQ(reparsed.mix.size(), 1u);
-    EXPECT_EQ(reparsed.mix[0].cores, 512);
-}
-
-TEST(SpecJson, V3DocumentsKeepThe256CoreCap)
-{
-    // A v3 document claiming 512 cores must fail with the pinned v3
-    // range error, not silently adopt the wider v4 cap.
-    ExperimentSpec spec;
-    spec.system.numCores = 512;
-    spec.mix = {mixScenario(ScenarioKind::StreamScan, 512)};
-    const std::string text = mutateDocument(
-        roundTripOnce(spec), "unison-spec/4", "unison-spec/3");
-    try {
-        specFromJson(json::parse(text));
-        FAIL() << "512 cores in a v3 document must be rejected";
-    } catch (const json::Error &e) {
-        EXPECT_NE(std::string(e.what()).find("256"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(SpecJson, DatacenterScenarioRequiresV4)
-{
-    // A v3 document (no v4 keys present) naming a datacenter scenario
-    // gets an error pointing at the schema version it needs.
-    ExperimentSpec spec;
-    spec.system.numCores = 4;
-    spec.mix = {mixScenario(ScenarioKind::StreamScan, 4)};
-    const std::string text = mutateDocument(
-        roundTripOnce(spec), "\"kind\": \"streamingscan\"",
-        "\"kind\": \"ycsbkvserving\"");
-    try {
-        specFromJson(json::parse(text));
-        FAIL() << "datacenter scenario in a v3 document must be "
-                  "rejected";
-    } catch (const json::Error &e) {
-        EXPECT_NE(std::string(e.what()).find("unison-spec/4"),
-                  std::string::npos)
-            << e.what();
-    }
 }
 
 TEST(SpecJson, UnknownMemoryBackendTokenIsRejected)

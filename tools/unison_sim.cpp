@@ -450,20 +450,12 @@ struct DurabilityOptions
 
 int
 runGrid(const std::string &grid_name, std::vector<GridPoint> points,
-        const std::string &shard_text, int threads, int engine_threads,
+        const std::string &shard_text, int threads,
         const std::string &memory_backend, const std::string &format,
         const std::string &out_path, const DurabilityOptions &durable)
 {
-    // Apply the intra-experiment engine override before the grid is
-    // fingerprinted: shard result files then refuse to merge across
-    // mismatched overrides (the results would still be bit-identical,
-    // but the serialized specs would not).
-    if (engine_threads > 0)
-        for (GridPoint &point : points)
-            point.spec.system.engineThreads = engine_threads;
-
-    // Same rule for the memory-backend override: fold it into every
-    // point before fingerprinting, so shards agree on what they ran.
+    // Fold the memory-backend override into every point before the
+    // grid is fingerprinted, so shards agree on what they ran.
     if (!memory_backend.empty()) {
         MemoryBackendKind kind;
         if (!memoryBackendFromId(memory_backend, kind))
@@ -737,8 +729,8 @@ main(int argc, char **argv)
                    "valid range)");
     args.addOption("figure", "", "run a named paper figure sweep");
     args.addOption("spec", "",
-                   "run a spec/grid JSON file (unison-spec/3, the "
-                   "older unison-spec/1..2, or unison-grid/1)");
+                   "run a spec/grid JSON file (unison-spec/5 or "
+                   "unison-grid/1)");
     args.addOption("export-spec", "",
                    "with --figure: write the grid as JSON instead of "
                    "running it");
@@ -752,10 +744,6 @@ main(int argc, char **argv)
                               "stdout)");
     args.addFlag("quick", "8x shorter simulations (figures only)");
     args.addOption("seed", "42", "workload seed (figures only)");
-    args.addOption("engine-threads", "0",
-                   "override system.engineThreads of every point: "
-                   "worker threads inside each experiment, "
-                   "bit-identical results (0 = leave spec values)");
     args.addOption("memory-backend", "",
                    "override system.memoryBackend of every point "
                    "(see --list-backends; empty = leave spec values)");
@@ -780,8 +768,6 @@ main(int argc, char **argv)
     const std::string merge = args.getString("merge");
     const std::string knobs = args.getString("knobs");
     const int threads = parseThreads(args);
-    const int engine_threads =
-        static_cast<int>(args.getUint("engine-threads"));
     const std::string memory_backend =
         args.getString("memory-backend");
 
@@ -848,7 +834,7 @@ main(int argc, char **argv)
             }
             return runGrid(figure, std::move(points),
                            args.getString("shard"), threads,
-                           engine_threads, memory_backend,
+                           memory_backend,
                            args.getString("format"),
                            args.getString("out"), durable);
         }
@@ -856,7 +842,7 @@ main(int argc, char **argv)
         GridFile grid = gridFromJson(json::parse(readFile(spec_path)));
         return runGrid(grid.name, std::move(grid.points),
                        args.getString("shard"), threads,
-                       engine_threads, memory_backend,
+                       memory_backend,
                        args.getString("format"),
                        args.getString("out"), durable);
     } catch (const SimError &e) {
