@@ -78,12 +78,12 @@ parseThreads(const ArgParser &args)
  * Run a sweep grid on `threads` workers, with per-point progress on
  * stderr ("tag: [k/n] <label> done" -- the grid's stable labels, not a
  * bare counter). Results come back in point order and are identical
- * for any thread count. Optional `hooks` thread the crash-safety seam
- * (result journal, warm-checkpoint store) through to the runner.
+ * for any thread count. An optional `store` (the durable result and
+ * warm-snapshot store) is passed through to the runner.
  */
 inline std::vector<SimResult>
 runAll(const std::vector<GridPoint> &points, int threads,
-       const char *tag, const RunHooks &hooks = {})
+       const char *tag, RunStore *store = nullptr)
 {
     std::vector<ExperimentSpec> specs;
     specs.reserve(points.size());
@@ -98,7 +98,7 @@ runAll(const std::vector<GridPoint> &points, int threads,
             std::fprintf(stderr, "%s: [%zu/%zu] %s done\n", tag, done,
                          points.size(), points[index].label.c_str());
         },
-        hooks);
+        store);
 }
 
 inline std::vector<SimResult>

@@ -1,17 +1,20 @@
-# ctest helper: the crash-safety contract of --journal/--resume and
-# --warm-ckpt-dir, driven end-to-end through the unison_sim binary.
+# ctest helper: the crash-safety contract of --store, driven
+# end-to-end through the unison_sim binary.
 #
 #  1. a run killed (deterministically, via the UNISON_FAULT write-kill
-#     injection: _exit(137) at an exact journal byte) and then resumed
-#     produces byte-identical JSON to an uninterrupted run;
-#  2. resuming a *completed* journal replays every point, again
-#     byte-identically;
-#  3. a corrupt warm-checkpoint file (read-corrupt injection) is
-#     rejected with a structured warning and the run falls back to a
-#     cold warm-up, byte-identical to a store-less run;
-#  4. the classified exit codes hold: 2 for usage errors, 4 for
-#     corrupt input (including a spec in a retired schema version), 1
-#     for an option the build no longer has.
+#     injection: _exit(137) at an exact byte of an object publish) and
+#     then rerun with the same --store produces byte-identical JSON to
+#     an uninterrupted run, replaying what reached the store -- here a
+#     shard that shares the store directory;
+#  2. a rerun after a complete run is all hits, byte-identically, and
+#     `store gc` reclaims the killed publisher's temp file;
+#  3. a warm snapshot in the store lets a rerun skip its warm-up (a
+#     warm hit, no leader run, no new snapshot), and a corrupt warm
+#     object (read-corrupt injection) is rejected with a structured
+#     warning and falls back to a cold warm-up, byte-identically;
+#  4. the classified exit codes hold: 2 for usage errors, 3 for I/O, 4
+#     for corrupt input (including a spec in a retired schema
+#     version), 1 for an option the build no longer has.
 #
 # Invoked as:
 #   cmake -DUNISON_SIM_BIN=<path> -DSMOKE_SPEC=<specs/smoke.json>
@@ -28,98 +31,120 @@ endif()
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
+# Run unison_sim with the given arguments; fail unless it exits 0.
+# Leaves its stderr in `err`.
+macro(run_ok what)
+  execute_process(
+    COMMAND ${UNISON_SIM_BIN} ${ARGN}
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${what} failed (${rc}):\n${err}")
+  endif()
+endmacro()
+
+# Fail unless files `a` and `b` hold the same bytes.
+function(expect_same a b what)
+  file(READ ${a} left)
+  file(READ ${b} right)
+  if(NOT left STREQUAL right)
+    message(FATAL_ERROR
+      "${what}: output differs\n--- ${a} ---\n${left}\n--- ${b} ---\n"
+      "${right}")
+  endif()
+endfunction()
+
+# Fail unless `text` contains `needle`.
+function(expect_in text needle what)
+  string(FIND "${text}" "${needle}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "${what}: expected '${needle}' in:\n${text}")
+  endif()
+endfunction()
+
+set(store ${WORK_DIR}/store)
+
 # ----------------------------------------------------------- golden
-execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --out ${WORK_DIR}/golden.json
-  RESULT_VARIABLE rc ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "uninterrupted run failed (${rc}):\n${err}")
+run_ok("uninterrupted run" --spec ${SMOKE_SPEC} --format json
+       --out ${WORK_DIR}/golden.json)
+
+# One shard of the grid runs to completion into the store: shards
+# share one store directory, and its points are what the killed run
+# below can replay.
+run_ok("shard 0/2 into the store" --spec ${SMOKE_SPEC} --format json
+       --shard 0/2 --store ${store} --out ${WORK_DIR}/shard0.json)
+file(GLOB objects ${store}/objects/*.res)
+list(LENGTH objects n_objects)
+if(NOT n_objects EQUAL 2)
+  message(FATAL_ERROR "shard 0/2 published ${n_objects} objects, not 2")
+endif()
+list(GET objects 0 object)
+file(SIZE ${object} object_size)
+if(object_size LESS 100)
+  message(FATAL_ERROR "store object implausibly small (${object_size}B)")
 endif()
 
-# Complete journaled run, to learn the full journal size (record
-# boundaries depend on JSON payload sizes, so the kill offset is
-# computed, not hard-coded).
-execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/full.journal
-          --out ${WORK_DIR}/journaled.json
-  RESULT_VARIABLE rc ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "journaled run failed (${rc}):\n${err}")
-endif()
-file(READ ${WORK_DIR}/golden.json golden)
-file(READ ${WORK_DIR}/journaled.json journaled)
-if(NOT golden STREQUAL journaled)
-  message(FATAL_ERROR "--journal alone perturbed the output")
-endif()
-file(SIZE ${WORK_DIR}/full.journal journal_size)
-if(journal_size LESS 100)
-  message(FATAL_ERROR "journal implausibly small (${journal_size}B)")
-endif()
-
-# ------------------------------------------- kill mid-journal, resume
-# Die halfway into the journal byte stream: at least one record has
-# been made durable, at least one is lost or torn.
-math(EXPR kill_at "${journal_size} / 2")
+# ------------------------------------------- kill mid-publish, rerun
+# The full grid replays shard 0's two points and simulates the third;
+# its publish dies halfway into the temp file (record boundaries
+# depend on JSON payload sizes, so the offset is computed, not
+# hard-coded).
+math(EXPR kill_at "${object_size} / 2")
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
-          "UNISON_FAULT=write-kill@crash.journal:${kill_at}"
+          "UNISON_FAULT=write-kill@/objects/.tmp.:${kill_at}"
           ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/crash.journal
-          --out ${WORK_DIR}/crashed.json
+          --store ${store} --out ${WORK_DIR}/crashed.json
   RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 137)
   message(FATAL_ERROR
-    "expected the injected kill (exit 137) at journal byte "
+    "expected the injected kill (exit 137) at publish byte "
     "${kill_at}, got exit ${rc}:\n${err}")
 endif()
 if(EXISTS ${WORK_DIR}/crashed.json)
   message(FATAL_ERROR "killed run must not have written its output")
 endif()
-file(SIZE ${WORK_DIR}/crash.journal crash_size)
-if(NOT crash_size EQUAL ${kill_at})
+file(GLOB temps ${store}/objects/.tmp.*)
+list(LENGTH temps n_temps)
+if(NOT n_temps EQUAL 1)
+  message(FATAL_ERROR "expected one torn temp file, found ${n_temps}")
+endif()
+file(SIZE ${temps} temp_size)
+if(NOT temp_size EQUAL ${kill_at})
   message(FATAL_ERROR
-    "kill injection persisted ${crash_size}B, expected ${kill_at}B")
+    "kill injection persisted ${temp_size}B, expected ${kill_at}B")
+endif()
+file(GLOB objects ${store}/objects/*.res)
+list(LENGTH objects n_objects)
+if(NOT n_objects EQUAL 2)
+  message(FATAL_ERROR "the torn publish must not be visible as an "
+                      "object (${n_objects} objects)")
 endif()
 
+run_ok("rerun after kill" --spec ${SMOKE_SPEC} --format json
+       --store ${store} --out ${WORK_DIR}/resumed.json)
+expect_in("${err}" "2 hit(s), 1 insert(s)" "rerun after kill")
+expect_same(${WORK_DIR}/golden.json ${WORK_DIR}/resumed.json
+            "kill + rerun")
+
+# ----------------------------------------- rerun of a complete run
+run_ok("rerun of a complete run" --spec ${SMOKE_SPEC} --format json
+       --store ${store} --out ${WORK_DIR}/replayed.json)
+expect_in("${err}" "3 hit(s), 0 insert(s)" "rerun of a complete run")
+expect_same(${WORK_DIR}/golden.json ${WORK_DIR}/replayed.json
+            "complete rerun")
+
+# The killed publisher is gone, so gc reclaims its temp file.
 execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/crash.journal --resume
-          --out ${WORK_DIR}/resumed.json
-  RESULT_VARIABLE rc ERROR_VARIABLE err)
+  COMMAND ${UNISON_SIM_BIN} store gc --store ${store} --max-bytes 1G
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "resume after kill failed (${rc}):\n${err}")
+  message(FATAL_ERROR "store gc failed (${rc}):\n${err}")
 endif()
-string(FIND "${err}" "replaying" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR
-    "resume did not report replayed points:\n${err}")
-endif()
-file(READ ${WORK_DIR}/resumed.json resumed)
-if(NOT golden STREQUAL resumed)
-  message(FATAL_ERROR
-    "kill+resume output differs from the uninterrupted run\n"
-    "--- golden ---\n${golden}\n--- resumed ---\n${resumed}")
-endif()
+expect_in("${out}" "reclaimed 1 orphaned temp(s), evicted 0" "store gc")
 
-# ------------------------------------- resume of a completed journal
-execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/full.journal --resume
-          --out ${WORK_DIR}/replayed.json
-  RESULT_VARIABLE rc ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "full replay failed (${rc}):\n${err}")
-endif()
-file(READ ${WORK_DIR}/replayed.json replayed)
-if(NOT golden STREQUAL replayed)
-  message(FATAL_ERROR "full journal replay differs from golden")
-endif()
-
-# -------------------------- corrupt warm checkpoint: graceful fallback
+# ------------------------------------------------- warm snapshots
 # A two-point grid sharing one warm prefix (explicit warmupAccesses),
-# so --warm-ckpt-dir has something to persist.
+# so the store has a warm snapshot to publish.
 file(WRITE ${WORK_DIR}/warm.json "{
   \"schema\": \"unison-grid/1\",
   \"name\": \"warmtest\",
@@ -165,75 +190,69 @@ file(WRITE ${WORK_DIR}/warm.json "{
   ]
 }
 ")
+set(warm_store ${WORK_DIR}/warm_store)
 
-execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${WORK_DIR}/warm.json
-          --format json --out ${WORK_DIR}/warm_golden.json
-  RESULT_VARIABLE rc ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "warm golden run failed (${rc}):\n${err}")
-endif()
+run_ok("warm golden run" --spec ${WORK_DIR}/warm.json --format json
+       --out ${WORK_DIR}/warm_golden.json)
 
-# Populate the store...
-execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${WORK_DIR}/warm.json
-          --format json --warm-ckpt-dir ${WORK_DIR}/ckpts
-          --out ${WORK_DIR}/warm_store.json
-  RESULT_VARIABLE rc ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "store-populating run failed (${rc}):\n${err}")
+# Populate the store: one leader warms up and publishes its snapshot.
+run_ok("store-populating run" --spec ${WORK_DIR}/warm.json
+       --format json --store ${warm_store}
+       --out ${WORK_DIR}/warm_first.json)
+expect_in("${err}" "0 warm hit(s), 1 warm save(s)" "first warm run")
+file(GLOB ckpts ${warm_store}/objects/*.ckpt)
+list(LENGTH ckpts n_ckpts)
+if(NOT n_ckpts EQUAL 1)
+  message(FATAL_ERROR "expected one warm object, found ${n_ckpts}")
 endif()
-file(GLOB ckpt_files ${WORK_DIR}/ckpts/*.ckpt)
-list(LENGTH ckpt_files n_ckpts)
-if(n_ckpts EQUAL 0)
-  message(FATAL_ERROR "--warm-ckpt-dir persisted no checkpoint files")
-endif()
-file(READ ${WORK_DIR}/warm_golden.json warm_golden)
-file(READ ${WORK_DIR}/warm_store.json warm_store)
-if(NOT warm_golden STREQUAL warm_store)
-  message(FATAL_ERROR "checkpoint store perturbed the results")
-endif()
+expect_same(${WORK_DIR}/warm_golden.json ${WORK_DIR}/warm_first.json
+            "warm snapshot publish")
 
-# ...then reuse it with every checkpoint read corrupted in flight: the
+# Drop the results (as a gc might) so the rerun must simulate: the
+# warm-up comes from the store, so no leader runs and nothing new is
+# saved.
+file(GLOB results ${warm_store}/objects/*.res)
+file(REMOVE ${results})
+run_ok("warm rerun" --spec ${WORK_DIR}/warm.json --format json
+       --store ${warm_store} --out ${WORK_DIR}/warm_rerun.json)
+expect_in("${err}" "0 hit(s), 2 insert(s), 1 warm hit(s), 0 warm save(s)"
+          "warm rerun")
+expect_same(${WORK_DIR}/warm_golden.json ${WORK_DIR}/warm_rerun.json
+            "warm-up served from the store")
+
+# ...then again with every warm-object read corrupted in flight: the
 # run must warn, fall back to a cold warm-up, and still match.
+file(GLOB results ${warm_store}/objects/*.res)
+file(REMOVE ${results})
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env "UNISON_FAULT=read-corrupt@.ckpt:40"
           ${UNISON_SIM_BIN} --spec ${WORK_DIR}/warm.json
-          --format json --warm-ckpt-dir ${WORK_DIR}/ckpts
+          --format json --store ${warm_store}
           --out ${WORK_DIR}/warm_corrupt.json
   RESULT_VARIABLE rc ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR
-    "corrupt-checkpoint run must degrade, not fail (${rc}):\n${err}")
+    "corrupt-snapshot run must degrade, not fail (${rc}):\n${err}")
 endif()
-string(FIND "${err}" "checkpoint-rejected" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR
-    "corrupt checkpoint was not reported:\n${err}")
-endif()
-file(READ ${WORK_DIR}/warm_corrupt.json warm_corrupt)
-if(NOT warm_golden STREQUAL warm_corrupt)
-  message(FATAL_ERROR
-    "corrupt-checkpoint fallback changed the numbers")
-endif()
+expect_in("${err}" "[store-rejected]" "corrupt warm object")
+expect_in("${err}" "fallback=cold-warmup" "corrupt warm object")
+expect_same(${WORK_DIR}/warm_golden.json ${WORK_DIR}/warm_corrupt.json
+            "corrupt-snapshot fallback")
 
 # --------------------------------------------- classified exit codes
 execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --resume
+  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --shard 3/2
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 2)
-  message(FATAL_ERROR
-    "--resume without --journal must exit 2 (usage), got ${rc}")
+  message(FATAL_ERROR "--shard 3/2 must exit 2 (usage), got ${rc}")
 endif()
 
 execute_process(
-  COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --format json
-          --journal ${WORK_DIR}/full.journal
+  COMMAND ${UNISON_SIM_BIN} --list --store ${store}
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR
-    "--journal on an existing journal without --resume must exit 2 "
-    "(usage), got ${rc}")
+    "--store without --figure/--spec must exit 2 (usage), got ${rc}")
 endif()
 
 file(WRITE ${WORK_DIR}/bad.json "{\"schema\": \"unison-grid/1\", ")
@@ -253,20 +272,27 @@ if(NOT rc EQUAL 3)
     "missing spec file must exit 3 (I/O), got ${rc}")
 endif()
 
-# The intra-experiment thread-count flag is gone: argparse rejects it
-# as an unknown option (exit 1, unclassified). Spelled in parts so the
-# retired name appears only in docs.
-set(retired_flag "engine")
-string(APPEND retired_flag "-threads")
-execute_process(
-  COMMAND ${UNISON_SIM_BIN} --figure smoke --${retired_flag} 2
-  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-string(FIND "${err}" "unknown option --${retired_flag}" found)
-if(NOT rc EQUAL 1 OR found EQUAL -1)
-  message(FATAL_ERROR
-    "--${retired_flag} must fail as an unknown option (exit 1), "
-    "got ${rc}:\n${err}")
-endif()
+# Retired options are gone: argparse rejects each as an unknown option
+# (exit 1, unclassified) -- the intra-experiment thread count, the
+# result journal and its resume flag, and the warm-checkpoint
+# directory. Spelled in parts so the retired names appear only in
+# docs.
+set(retired "")
+foreach(parts "engine;-threads" "jour;nal" "res;ume" "warm-ckpt;-dir")
+  string(REPLACE ";" "" flag "${parts}")
+  list(APPEND retired ${flag})
+endforeach()
+foreach(flag ${retired})
+  execute_process(
+    COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} --${flag} 2
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  string(FIND "${err}" "unknown option --${flag}" found)
+  if(NOT rc EQUAL 1 OR found EQUAL -1)
+    message(FATAL_ERROR
+      "--${flag} must fail as an unknown option (exit 1), "
+      "got ${rc}:\n${err}")
+  endif()
+endforeach()
 
 # A bare spec in an older schema version is corrupt input (exit 4)
 # whose message says how to get a current document. The schema check

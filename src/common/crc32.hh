@@ -1,10 +1,10 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over byte
- * buffers. Shared by the result journal's record frames and the
- * checkpoint file header: both need a cheap, dependency-free,
- * platform-stable integrity check that catches truncation and
- * bit-flips -- not cryptographic tamper resistance.
+ * buffers. Guards the record frame around every result-store object
+ * (common/crc_frame.hh): a cheap, dependency-free, platform-stable
+ * integrity check that catches truncation and bit-flips -- not
+ * cryptographic tamper resistance.
  */
 
 #ifndef UNISON_COMMON_CRC32_HH

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/crc32.hh"
+#include "common/logging.hh"
 
 namespace unison {
 
@@ -34,20 +35,15 @@ void
 appendRecordFrame(std::vector<std::uint8_t> &out, std::uint32_t magic,
                   const void *payload, std::size_t len)
 {
+    UNISON_ASSERT(len <= kMaxRecordFrameBytes, "record frame payload of ",
+                  len, " bytes exceeds the ", kMaxRecordFrameBytes,
+                  "-byte bound its reader enforces");
     out.reserve(out.size() + kRecordFrameHeaderBytes + len);
     putLe(out, magic);
     putLe(out, static_cast<std::uint32_t>(len));
     putLe(out, crc32(payload, len));
     const auto *bytes = static_cast<const std::uint8_t *>(payload);
     out.insert(out.end(), bytes, bytes + len);
-}
-
-std::vector<std::uint8_t>
-encodeRecordFrame(std::uint32_t magic, const std::string &payload)
-{
-    std::vector<std::uint8_t> out;
-    appendRecordFrame(out, magic, payload.data(), payload.size());
-    return out;
 }
 
 FrameWalker::FrameWalker(const std::uint8_t *data, std::size_t size,
@@ -106,71 +102,6 @@ FrameWalker::next(const std::uint8_t *&payload, std::size_t &len)
     len = static_cast<std::size_t>(payload_len);
     at_ += kRecordFrameHeaderBytes + payload_len;
     return true;
-}
-
-// -------------------------------------------------------- file frames
-
-namespace {
-
-constexpr std::size_t kFileFrameHeaderBytes = 4 + 4 + 8 + 4;
-
-} // namespace
-
-std::vector<std::uint8_t>
-encodeFileFrame(std::uint32_t magic, std::uint32_t version,
-                const std::vector<std::uint8_t> &payload)
-{
-    std::vector<std::uint8_t> file;
-    file.reserve(kFileFrameHeaderBytes + payload.size());
-    putLe(file, magic);
-    putLe(file, version);
-    putLe(file, static_cast<std::uint64_t>(payload.size()));
-    putLe(file, crc32(payload.data(), payload.size()));
-    file.insert(file.end(), payload.begin(), payload.end());
-    return file;
-}
-
-SimStatus
-decodeFileFrame(const std::vector<std::uint8_t> &file,
-                std::uint32_t magic, std::uint32_t version,
-                std::vector<std::uint8_t> &payload,
-                const std::string &what)
-{
-    payload.clear();
-    const auto corrupt = [&](const std::string &why) {
-        return SimStatus::failure(SimErrc::Corrupt, what + ": " + why);
-    };
-    if (file.size() < kFileFrameHeaderBytes)
-        return corrupt("short header (" + std::to_string(file.size()) +
-                       " of " + std::to_string(kFileFrameHeaderBytes) +
-                       " bytes)");
-    if (getLe<std::uint32_t>(file.data(), 0) != magic)
-        return corrupt("bad magic (not a file of this type, or its "
-                       "header is corrupt)");
-    const std::uint32_t got_version =
-        getLe<std::uint32_t>(file.data(), 4);
-    if (got_version != version)
-        return corrupt("version skew: file is v" +
-                       std::to_string(got_version) +
-                       ", this build reads v" +
-                       std::to_string(version));
-    const std::uint64_t len = getLe<std::uint64_t>(file.data(), 8);
-    const std::uint32_t crc = getLe<std::uint32_t>(file.data(), 16);
-    if (file.size() < kFileFrameHeaderBytes + len)
-        return corrupt(
-            "truncated payload (" +
-            std::to_string(file.size() - kFileFrameHeaderBytes) +
-            " of " + std::to_string(len) + " bytes)");
-    if (file.size() > kFileFrameHeaderBytes + len)
-        return corrupt("trailing bytes after the payload");
-    const std::uint32_t got_crc =
-        crc32(file.data() + kFileFrameHeaderBytes, len);
-    if (got_crc != crc)
-        return corrupt("payload CRC mismatch (stored " +
-                       std::to_string(crc) + ", computed " +
-                       std::to_string(got_crc) + ")");
-    payload.assign(file.begin() + kFileFrameHeaderBytes, file.end());
-    return SimStatus::success();
 }
 
 } // namespace unison

@@ -1,20 +1,11 @@
 /**
  * @file
- * The one CRC-32 framing implementation every durability format in the
- * tree shares. Three consumers:
+ * The one CRC-32 record frame every durable object in the tree uses:
+ * the content-addressed result store (store/result_store.cc) wraps
+ * each published object -- a result or a warm snapshot -- in exactly
+ * one frame:
  *
- *  - the result journal (sim/journal.cc): an append-only *stream* of
- *    record frames, walked back after a crash to its clean prefix;
- *  - the checkpoint store (via common/file_io.hh's framed files): one
- *    versioned frame per file;
- *  - the content-addressed result store (store/result_store.cc): one
- *    record frame per published object.
- *
- * Two frame shapes, one byte-level implementation:
- *
- * # Record frames (streams and single-record objects)
- *
- *     u32 magic       caller-chosen stream tag
+ *     u32 magic       caller-chosen object tag
  *     u32 payloadLen
  *     u32 payloadCrc  CRC-32 of the payload bytes
  *     u8  payload[]
@@ -22,20 +13,10 @@
  * appendRecordFrame encodes; FrameWalker decodes a buffer of
  * consecutive frames, stopping at the first damaged one and
  * classifying the damage (torn header, bad magic, implausible length,
- * truncated payload, CRC mismatch). A torn tail after a crash is an
- * *expected* outcome, so the walker reports it instead of failing:
- * validBytes() is the byte length of the clean frame prefix, and
- * everything after it must not be trusted.
- *
- * # File frames (whole-file containers)
- *
- *     u32 magic / u32 version / u64 payloadLen / u32 payloadCrc /
- *     u8 payload[]
- *
- * encodeFileFrame / decodeFileFrame are the byte-level halves of
- * writeFramedFile / readFramedFile (common/file_io.hh keeps the I/O
- * and the fault-injection seam). decodeFileFrame classifies each way
- * the bytes can be wrong and only writes `payload` on full success.
+ * truncated payload, CRC mismatch). A torn or flipped object is an
+ * *expected* outcome on a lying disk, so the walker reports it
+ * instead of failing: validBytes() is the byte length of the clean
+ * frame prefix, and everything after it must not be trusted.
  */
 
 #ifndef UNISON_COMMON_CRC_FRAME_HH
@@ -46,8 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hh"
-
 namespace unison {
 
 /** Record-frame header size (magic + length + CRC). */
@@ -55,17 +34,16 @@ inline constexpr std::size_t kRecordFrameHeaderBytes = 4 + 4 + 4;
 
 /** Sanity bound on one record frame's payload; a corrupt length field
  *  must classify as damage, not turn into a multi-gigabyte
- *  allocation. */
+ *  allocation. Writers must refuse larger payloads up front: the
+ *  reader rejects every frame over the bound. */
 inline constexpr std::uint64_t kMaxRecordFrameBytes = 64ull << 20;
 
-/** Append one record frame (header + payload) to `out`. */
+/** Append one record frame (header + payload) to `out`; `len` must
+ *  not exceed kMaxRecordFrameBytes (checked: a bigger frame could
+ *  never be read back). */
 void appendRecordFrame(std::vector<std::uint8_t> &out,
                        std::uint32_t magic, const void *payload,
                        std::size_t len);
-
-/** Convenience: one frame around a string payload. */
-std::vector<std::uint8_t> encodeRecordFrame(std::uint32_t magic,
-                                            const std::string &payload);
 
 /**
  * Sequential decoder over a buffer of record frames. next() yields
@@ -103,20 +81,6 @@ class FrameWalker
     bool torn_ = false;
     std::string tornReason_;
 };
-
-/** @name File frames (byte-level halves of file_io's framed files) */
-/**@{*/
-std::vector<std::uint8_t>
-encodeFileFrame(std::uint32_t magic, std::uint32_t version,
-                const std::vector<std::uint8_t> &payload);
-
-/** Decode a whole-file frame; `what` names the file in failure
- *  messages. Failure class is Corrupt for every damage kind. */
-SimStatus decodeFileFrame(const std::vector<std::uint8_t> &file,
-                          std::uint32_t magic, std::uint32_t version,
-                          std::vector<std::uint8_t> &payload,
-                          const std::string &what);
-/**@}*/
 
 } // namespace unison
 

@@ -7,13 +7,14 @@
  * can tell failure kinds apart without parsing messages:
  *
  *  - Usage (exit 2): the caller asked for something malformed --
- *    contradictory flags, a bad shard expression, --resume without
- *    --journal. Retrying without fixing the invocation cannot help.
+ *    contradictory flags, a bad shard expression, --store without
+ *    --figure or --spec. Retrying without fixing the invocation
+ *    cannot help.
  *  - Io (exit 3): the environment failed us -- unreadable spec file,
- *    full disk, a journal append that could not be made durable. The
- *    input may be fine; retrying after fixing the environment can.
+ *    an output that cannot be written. The input may be fine;
+ *    retrying after fixing the environment can.
  *  - Corrupt (exit 4): data failed its own integrity contract -- bad
- *    JSON, schema mismatch, CRC failure, truncated checkpoint,
+ *    JSON, schema mismatch, a snapshot that fails its shape checks,
  *    mismatched shard fingerprints. Retrying reproduces it; the file
  *    itself is the problem.
  *
@@ -24,8 +25,8 @@
  *
  * structuredWarn() is the one-line machine-greppable warning format
  * the crash-safety paths emit when they degrade gracefully instead of
- * failing ("warn: [checkpoint-rejected] path=... reason=..."); CI
- * greps for the bracketed event tokens.
+ * failing ("warn: [store-rejected] path=... reason=..."); tests and CI
+ * grep for the bracketed event tokens.
  */
 
 #ifndef UNISON_COMMON_ERROR_HH

@@ -1,7 +1,8 @@
 /**
  * @file
- * Deterministic fault injection on the durability file paths (result
- * journal, checkpoint files). Every byte that common/file_io.hh moves
+ * Deterministic fault injection on the durability file paths (the
+ * result store's objects and temp files). Every byte that
+ * common/file_io.hh moves
  * passes through the process-wide FaultInjector, which can -- at an
  * exact byte offset of the cumulative stream to one file --
  *
@@ -21,16 +22,16 @@
  * A plan is armed programmatically (tests) or via the UNISON_FAULT
  * environment variable (process tests, CI):
  *
- *     UNISON_FAULT='write-kill@results.journal:4096'
+ *     UNISON_FAULT='write-kill@/objects/.tmp.:4096'
  *     UNISON_FAULT='read-corrupt@.ckpt:100'
  *
  * i.e. `<point>-<mode>@<path-substring>:<byte-offset>`. Exactly one
  * plan per process; the offset is an absolute byte position in any
- * file whose path contains the substring (appends to an existing
- * journal count from the file's real size, not from zero). With no
- * plan armed the hooks are two predictable branches -- the seam costs
- * nothing in production runs (and sits nowhere near the simulation
- * hot path anyway).
+ * file whose path contains the substring (every publish writes a
+ * fresh temp file, so offsets count from that file's first byte).
+ * With no plan armed the hooks are two predictable branches -- the
+ * seam costs nothing in production runs (and sits nowhere near the
+ * simulation hot path anyway).
  */
 
 #ifndef UNISON_COMMON_FAULT_INJECTION_HH

@@ -1,19 +1,16 @@
 /**
  * @file
  * Status-returning, fault-injectable file I/O for the durability
- * layer (result journal, checkpoint files, result output). Every byte
- * moved here passes through the FaultInjector seam, and every
- * function reports failure as a SimStatus instead of fatal()ing --
- * the callers decide between graceful degradation (a checkpoint that
- * will not load falls back to a cold run) and classified exit (a
- * journal that cannot be appended ends the run with the Io code).
+ * layer (result-store objects, result output). Every byte moved here
+ * passes through the FaultInjector seam, and every function reports
+ * failure as a SimStatus instead of fatal()ing -- the callers decide
+ * between graceful degradation (a store object that will not load is
+ * a miss; one that will not publish is dropped with a warning) and a
+ * classified exit.
  *
- * Also home of the framed-file container every binary durability file
- * uses: a `magic / version / payload-length / payload-CRC32` header
- * ahead of an opaque payload, so truncation, bit-flips and version
- * skew are *detected and classified* before any payload byte is
- * trusted (readFramedFile never returns a partially-validated
- * payload).
+ * Integrity framing is not this file's job: store objects carry one
+ * CRC-32 record frame (common/crc_frame.hh) inside the bytes moved
+ * here.
  */
 
 #ifndef UNISON_COMMON_FILE_IO_HH
@@ -43,34 +40,9 @@ SimStatus readFileBytes(const std::string &path,
 SimStatus writeFileBytes(const std::string &path,
                          const std::vector<std::uint8_t> &bytes);
 
-/** Append to the end of the file (creating it), flushed and fsynced
- *  before returning success -- the journal's per-record durability
- *  barrier. */
-SimStatus appendFileBytes(const std::string &path, const void *data,
-                          std::size_t len);
-
-/** @name Framed container
- * Layout (little-endian, matching the raw-POD state format):
- *
- *     u32 magic      file-type tag (caller-chosen constant)
- *     u32 version    format version of the payload
- *     u64 payloadLen
- *     u32 payloadCrc CRC-32 of the payload bytes
- *     u8  payload[payloadLen]
- *
- * readFramedFile classifies each way the file can be wrong (short
- * header, bad magic, version skew, truncated payload, CRC mismatch,
- * trailing bytes) in its failure message, and only writes `payload`
- * on full success.
- */
-/**@{*/
-SimStatus writeFramedFile(const std::string &path, std::uint32_t magic,
-                          std::uint32_t version,
-                          const std::vector<std::uint8_t> &payload);
-SimStatus readFramedFile(const std::string &path, std::uint32_t magic,
-                         std::uint32_t version,
-                         std::vector<std::uint8_t> &payload);
-/**@}*/
+/** fsync a directory, making the entries created or renamed in it
+ *  durable (a rename is only crash-safe once its directory is). */
+SimStatus syncDirectory(const std::string &dir);
 
 } // namespace unison
 

@@ -11,10 +11,10 @@
  *
  * The format is deliberately dumb: raw little-endian PODs in component
  * order, vectors prefixed by their element count. On its own it has no
- * header or checksum -- when a snapshot goes to disk it travels inside
- * the framed container of common/file_io.hh (magic/version/length/CRC),
- * which catches truncation and bit-flips before any byte reaches a
- * reader here. StateReader restores vectors *in place* (components are
+ * header or checksum -- when a snapshot goes to disk it travels as a
+ * result-store object (store/result_store.hh) inside one CRC record
+ * frame, which catches truncation and bit-flips before any byte
+ * reaches a reader here. StateReader restores vectors *in place* (components are
  * sized by configuration before loading, and keeping the buffers'
  * addresses stable matters because the timing loop holds raw pointers
  * into some of them -- System's scheduler keys).

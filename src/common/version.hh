@@ -2,12 +2,13 @@
  * @file
  * The simulator's code-version tag: the compatibility key for every
  * durable artifact whose numbers must not be mixed across behaviour
- * changes -- result-journal records, results documents entering a
- * merge, and persistent warm-checkpoint files.
+ * changes -- result-store objects (results and warm snapshots, which
+ * carry it in their names and payloads), and results documents
+ * entering a merge.
  *
  * Bump the tag whenever a change can alter simulated numbers or
  * serialized state (new design behaviour, engine changes, schema
- * bumps). Tooling then *refuses* to merge or resume across the bump
+ * bumps). Tooling then *refuses* to merge or replay across the bump
  * instead of silently blending incompatible results. Deliberately a
  * hand-maintained constant, not a build timestamp or git hash: two
  * builds of the same source must agree on it, or byte-identical

@@ -112,8 +112,8 @@ SweepService::run(const GridFile &grid, const PointSink &sink,
     // Owned points run as ONE runExperiments call: store hits resolve
     // in its replay pre-pass (streamed first, before any simulation),
     // the rest simulate with work stealing and warm-checkpoint
-    // grouping intact. The cache hook both serves the hits and
-    // publishes fresh results to the store -- record() runs *before*
+    // grouping intact. The store hook serves the hits, publishes fresh
+    // results and warm snapshots -- recordResult() runs *before*
     // on_done, so by the time a waiter or a later submission sees the
     // point resolved, the object is already on disk.
     std::vector<SimResult> own_results;
@@ -126,8 +126,6 @@ SweepService::run(const GridFile &grid, const PointSink &sink,
             own_pos[owned[j]] = static_cast<std::ptrdiff_t>(j);
         }
         StoreCacheHook hook(store_, specs);
-        RunHooks hooks;
-        hooks.cache = &hook;
         const ExperimentCallback on_done =
             [&](std::size_t j, const SimResult &result) {
                 const std::size_t i = owned[j];
@@ -141,7 +139,7 @@ SweepService::run(const GridFile &grid, const PointSink &sink,
             };
         try {
             own_results =
-                runExperiments(specs, threads_, on_done, hooks);
+                runExperiments(specs, threads_, on_done, &hook);
         } catch (const std::exception &e) {
             // Release every claim this submission still holds so a
             // waiting peer fails fast instead of blocking forever.

@@ -23,8 +23,8 @@
  * in the store, in flight (exactly one owner), or unclaimed, and the
  * transition unclaimed -> in flight happens under one lock for all of
  * a submission's points at once. Results always reach the store
- * *before* the claim is released (the runner records to the cache hook
- * before on_done fires), so a fingerprint can never be both
+ * *before* the claim is released (the runner records to the store
+ * hook before on_done fires), so a fingerprint can never be both
  * unclaimed and unsimulated-but-requested.
  *
  * The substitution contract is the repo-wide one: however a point was

@@ -15,8 +15,7 @@ namespace {
 /** Run the specs named by `todo` (indices into `specs`), in parallel
  *  on `workers` threads when it pays, through `run_one`. */
 void
-runBatch(const std::vector<ExperimentSpec> &specs,
-         const std::vector<std::size_t> &todo,
+runBatch(const std::vector<std::size_t> &todo,
          std::vector<SimResult> &results, std::size_t workers,
          const ExperimentCallback &on_done, std::mutex &done_mutex,
          const std::function<SimResult(std::size_t)> &run_one)
@@ -59,7 +58,7 @@ runBatch(const std::vector<ExperimentSpec> &specs,
 
 std::vector<SimResult>
 runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
-               const ExperimentCallback &on_done, const RunHooks &hooks)
+               const ExperimentCallback &on_done, RunStore *store)
 {
     if (threads < 0)
         fatal("runExperiments: thread count must be >= 0 (0 = all "
@@ -74,24 +73,16 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
         threads = hw == 0 ? 1 : static_cast<int>(hw);
     }
 
-    // Journal replay: points a previous (possibly killed) invocation
-    // already completed are restored, not re-simulated -- the
-    // crash-safety contract is that this substitution is invisible in
-    // the final output (results documents round-trip byte-exactly,
-    // ctest-enforced). Replays complete first, in index order, before
-    // any simulation starts. The result cache (content-addressed
-    // store) is consulted after the journal: same substitution
-    // contract, but keyed by spec content rather than run identity, so
-    // hits come from *any* previous run of the same spec and build.
+    // Store replay: points any previous (possibly killed) run of the
+    // same spec and build completed are restored, not re-simulated --
+    // the crash-safety contract is that this substitution is
+    // invisible in the final output (results documents round-trip
+    // byte-exactly, ctest-enforced). Replays complete first, in index
+    // order, before any simulation starts.
     std::vector<char> replayed(specs.size(), 0);
-    if (hooks.journal != nullptr || hooks.cache != nullptr) {
+    if (store != nullptr) {
         for (std::size_t i = 0; i < specs.size(); ++i) {
-            const bool hit =
-                (hooks.journal != nullptr &&
-                 hooks.journal->tryLoad(i, results[i])) ||
-                (hooks.cache != nullptr &&
-                 hooks.cache->tryLoad(i, results[i]));
-            if (hit) {
+            if (store->lookupResult(i, results[i])) {
                 replayed[i] = 1;
                 if (on_done)
                     on_done(i, results[i]);
@@ -120,13 +111,13 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
     // whose design or source cannot serialize state simply leave the
     // snapshot invalid and the members fall back to plain runs.
     //
-    // With a persistent store, a group of ANY size first asks the
-    // store for the prefix's snapshot (captured by some earlier
-    // process); a verified hit lets every member resume with no
-    // leader run at all, and a miss makes the leader capture AND
-    // persist for the next invocation. A store snapshot that later
-    // fails its in-run shape checks degrades to a cold warm-up inside
-    // runExperimentCk -- correctness never depends on the store.
+    // With a store, a group of ANY size first asks it for the
+    // prefix's snapshot (captured by some earlier process); a verified
+    // hit lets every member resume with no leader run at all, and a
+    // miss makes the leader capture AND persist for the next
+    // invocation. A store snapshot that later fails its in-run shape
+    // checks degrades to a cold warm-up inside runExperimentCk --
+    // correctness never depends on the store.
     std::unordered_map<std::string, std::vector<std::size_t>> groups;
     for (const std::size_t i : todo_all)
         if (checkpointEligible(specs[i]))
@@ -139,17 +130,15 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
     std::vector<std::ptrdiff_t> capture_slot(specs.size(), -1);
     std::vector<std::ptrdiff_t> resume_slot(specs.size(), -1);
     for (const auto &[key, members] : groups) {
-        const bool persistent = hooks.checkpoints != nullptr;
-        if (members.size() < 2 && !persistent)
+        if (members.size() < 2 && store == nullptr)
             continue; // nothing to reuse: skip the serialization cost
         const auto slot =
             static_cast<std::ptrdiff_t>(checkpoints.size());
         checkpoints.emplace_back();
         slot_key.push_back(key);
-        const bool loaded =
-            persistent &&
-            hooks.checkpoints->tryLoad(key, checkpoints.back()) &&
-            checkpoints.back().valid();
+        const bool loaded = store != nullptr &&
+                            store->lookupWarm(key, checkpoints.back()) &&
+                            checkpoints.back().valid();
         if (loaded) {
             for (const std::size_t i : members)
                 resume_slot[i] = slot;
@@ -177,40 +166,31 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
                 ? nullptr
                 : &checkpoints[static_cast<std::size_t>(capture_slot[i])];
         SimResult result = runExperimentCk(specs[i], resume, capture);
-        if (capture != nullptr && hooks.checkpoints != nullptr &&
-            capture->valid())
-            hooks.checkpoints->save(
+        if (capture != nullptr && store != nullptr && capture->valid())
+            store->saveWarm(
                 slot_key[static_cast<std::size_t>(capture_slot[i])],
                 *capture);
         return result;
     };
 
-    // Journal appends ride the same serialization as on_done (the
+    // Store publishes ride the same serialization as on_done (the
     // done_mutex in the threaded path), and always run *before* the
-    // progress callback: once the user sees "done", the record is
-    // durable. Cache inserts follow the journal append -- publishing
-    // to the shared store is best-effort and must not delay the
-    // durability barrier.
+    // progress callback: once anyone sees "done", the object is in
+    // the store -- the ordering serve's dedup relies on.
     const ExperimentCallback complete =
         [&](std::size_t i, const SimResult &result) {
-            if (hooks.journal != nullptr)
-                hooks.journal->record(i, result);
-            if (hooks.cache != nullptr)
-                hooks.cache->record(i, result);
+            store->recordResult(i, result);
             if (on_done)
                 on_done(i, result);
         };
     const ExperimentCallback &done_hook =
-        hooks.journal != nullptr || hooks.cache != nullptr ? complete
-                                                           : on_done;
+        store != nullptr ? complete : on_done;
 
     std::mutex done_mutex;
-    runBatch(specs, phase1, results, workers, done_hook, done_mutex,
-             run_one);
+    runBatch(phase1, results, workers, done_hook, done_mutex, run_one);
     // The phase barrier (thread join) publishes the leaders' captured
     // snapshots to the phase-2 workers.
-    runBatch(specs, phase2, results, workers, done_hook, done_mutex,
-             run_one);
+    runBatch(phase2, results, workers, done_hook, done_mutex, run_one);
     return results;
 }
 

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -29,63 +30,43 @@ using ExperimentCallback =
     std::function<void(std::size_t index, const SimResult &result)>;
 
 /**
- * Durability seam for crash-safe sweeps: a journal that remembers
- * completed points across process deaths. Before simulating, the
- * runner offers every spec to tryLoad and *skips* the ones the
- * journal already holds; after each fresh completion it calls record
- * (serialized by the runner -- implementations may append to one
- * file without their own locking, but record() must make the result
- * durable before returning or die loudly: a silently dropped record
- * would resurrect as missing work, a silently *misrecorded* one as
- * wrong merged numbers).
+ * The durable-store seam: one interface for everything a run may
+ * persist across process deaths, implemented once by StoreCacheHook
+ * (store/result_store.hh) over the content-addressed result store.
+ *
+ * Results: before simulating, the runner offers every spec to
+ * lookupResult and *skips* the ones the store already holds; after
+ * each fresh completion it calls recordResult, serialized with (and
+ * always before) on_done.
+ *
+ * Warm snapshots: a warm-prefix group asks lookupWarm before electing
+ * a leader; a verified hit lets every member resume with no leader
+ * run, a miss makes the leader capture and saveWarm the snapshot.
+ * saveWarm may run concurrently on several worker threads.
+ *
+ * Every call is best-effort: a lookup that doubts its bytes misses
+ * (the runner then simulates or warms up cold, which is always
+ * correct), and a failed publish warns and drops.
  */
-class ResultJournalHook
+class RunStore
 {
   public:
-    virtual ~ResultJournalHook() = default;
+    virtual ~RunStore() = default;
 
     /** Replay a completed result for spec `index`; false = simulate. */
-    virtual bool tryLoad(std::size_t index, SimResult &out) = 0;
+    virtual bool lookupResult(std::size_t index, SimResult &out) = 0;
 
-    /** Persist a freshly computed result for spec `index`. */
-    virtual void record(std::size_t index, const SimResult &result) = 0;
-};
+    /** Publish a freshly computed result for spec `index`. */
+    virtual void recordResult(std::size_t index,
+                              const SimResult &result) = 0;
 
-/**
- * Persistent warm-checkpoint store, keyed by warmPrefixKey. tryLoad
- * must be all-or-nothing (a miss on any integrity doubt -- the runner
- * then warms up cold, which is always correct); save is best-effort
- * and must never fail the run.
- */
-class CheckpointStore
-{
-  public:
-    virtual ~CheckpointStore() = default;
+    /** Load the snapshot of a warm prefix; all-or-nothing. */
+    virtual bool lookupWarm(const std::string &warm_key,
+                            WarmCheckpoint &out) = 0;
 
-    virtual bool tryLoad(const std::string &warm_key,
-                         WarmCheckpoint &out) = 0;
-    virtual void save(const std::string &warm_key,
-                      const WarmCheckpoint &ck) = 0;
-};
-
-/** Optional durability hooks; value-semantics bag of non-owning
- *  pointers (nullptr = feature off). */
-struct RunHooks
-{
-    ResultJournalHook *journal = nullptr;
-    CheckpointStore *checkpoints = nullptr;
-
-    /**
-     * Result-cache seam (same contract as the journal hook, different
-     * provenance): a content-addressed store of completed results
-     * shared *across* runs and grids. Consulted after the journal in
-     * the replay pre-pass -- a hit fires on_done without simulating,
-     * with byte-identical results -- and offered every fresh
-     * completion via record(). Unlike the journal, record() here is an
-     * optimization, not a durability contract: implementations degrade
-     * (warn and drop) instead of ending the run.
-     */
-    ResultJournalHook *cache = nullptr;
+    /** Persist the snapshot of a warm prefix. */
+    virtual void saveWarm(const std::string &warm_key,
+                          const WarmCheckpoint &ck) = 0;
 };
 
 /**
@@ -95,20 +76,21 @@ struct RunHooks
  * @param threads  worker threads; <= 1 runs serially on the calling
  *                 thread, 0 means std::thread::hardware_concurrency()
  * @param on_done  optional per-experiment completion hook
- * @param hooks    optional crash-safety hooks: journal-replayed specs
- *                 are never simulated (on_done still fires for them,
- *                 first and in index order), and warm checkpoints are
- *                 loaded from / saved to the store when profitable
+ * @param store    optional durable store: specs it replays are never
+ *                 simulated (on_done still fires for them, first and
+ *                 in index order), and warm snapshots are loaded from
+ *                 / saved to it; nullptr keeps warm-group reuse
+ *                 in memory
  *
  * Results are bit-identical for any thread count -- and, with a
- * journal, for any interruption/resume history: each experiment owns
+ * store, for any interruption/rerun history: each experiment owns
  * its workload RNG (seeded from the spec), its System and its caches;
  * the only shared state is the immutable Zipf sampler cache.
  */
 std::vector<SimResult>
 runExperiments(const std::vector<ExperimentSpec> &specs, int threads = 1,
                const ExperimentCallback &on_done = nullptr,
-               const RunHooks &hooks = {});
+               RunStore *store = nullptr);
 
 } // namespace unison
 

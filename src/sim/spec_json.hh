@@ -93,8 +93,8 @@ struct ResultPoint
  * `grid_hash` fingerprints the *full* grid the points came from, so a
  * merge can reject shards of different runs of a same-named grid.
  * Every document also stamps `codeVersion` (kSimCodeVersion) -- the
- * build that produced the numbers -- so merges and journal resumes can
- * refuse to mix results across behaviour-changing builds.
+ * build that produced the numbers -- so merges can refuse to mix
+ * results across behaviour-changing builds.
  * Points are written sorted by index, which is what makes a merge of
  * shard files byte-identical to an unsharded run.
  */

@@ -1,23 +1,29 @@
 /**
  * @file
- * Content-addressed result store: completed SimResults keyed by what
- * they ARE -- (spec fingerprint, code version) -- instead of which run
- * produced them. Any invocation that is about to simulate a spec asks
- * the store first; a hit substitutes the cached result byte-for-byte
- * (the same substitution contract the journal's crash replay pins),
- * and every fresh completion is published back, so repeated sweeps of
- * overlapping grids converge to zero simulation.
+ * Content-addressed result store: the one durable mechanism of a run.
+ * Completed SimResults are keyed by what they ARE -- (spec
+ * fingerprint, code version) -- instead of which run produced them.
+ * Any invocation that is about to simulate a spec asks the store
+ * first; a hit substitutes the cached result byte-for-byte, and every
+ * fresh completion is published back. So a killed run, any shard of
+ * it, or a later overlapping grid replays every point that reached
+ * the store, and repeated sweeps converge to zero simulation.
  *
  * # Layout
  *
- * One file per object under `<dir>/objects/`:
+ * One file per object under `<dir>/objects/`, two kinds:
  *
- *     <specFingerprint>.<fnv16(codeVersion)>.res
+ *     <specFingerprint>.<fnv16(codeVersion)>.res     a result
+ *     <fnv16(warmPrefixKey)>.<fnv16(codeVersion)>.ckpt  a warm snapshot
  *
- * holding a single CRC-32 record frame (common/crc_frame.hh, magic
- * 'USRC') around a JSON payload:
+ * Each holds a single CRC-32 record frame (common/crc_frame.hh). A
+ * result's payload is JSON ('USRC' frames):
  *
  *     {storeRecord: 1, specFingerprint, codeVersion, spec, result}
+ *
+ * A warm snapshot's payload is raw state ('USWS' frames, common/
+ * state_io.hh encoding): the code version, the full warm-prefix key,
+ * the warm boundary and the System snapshot bytes.
  *
  * The spec fingerprint is the FNV-1a of the spec's canonical JSON
  * (spec_json.hh specFingerprint), so two specs that serialize
@@ -28,24 +34,30 @@
  *
  * # Trust model
  *
- * Objects are published atomically (write to a dot-prefixed temp name
- * in the same directory, then rename), so readers never see a partial
- * object. On lookup every layer is verified before the result is
- * trusted: frame CRC, payload schema, embedded code version, and the
- * fingerprint *recomputed from the embedded spec* (guards misplaced or
- * hash-colliding files, not just bit rot). Any doubt is a structured
- * "store-rejected" warning and a miss -- the caller simulates, which
- * is always correct. Publishing is likewise best-effort: a failed
- * insert warns ("store-save-failed") and drops; the store is an
- * optimization, never a durability or correctness dependency.
+ * Objects are published atomically (write a dot-prefixed temp file
+ * `.tmp.<pid>.<seq>` in the same directory, fsync it, rename it into
+ * place, fsync the directory), so readers never see a partial object
+ * and a published one survives power loss. On lookup every layer is
+ * verified before a byte is trusted: frame CRC, payload schema,
+ * embedded code version, and the embedded identity -- the fingerprint
+ * *recomputed from the embedded spec* for results, the embedded
+ * warm-prefix key for snapshots (guards misplaced or hash-colliding
+ * files, not just bit rot). Any doubt is a structured
+ * "store-rejected" warning and a miss -- the caller simulates or
+ * warms up cold, which is always correct. Publishing is likewise
+ * best-effort: a failed publish, or a payload over the frame bound,
+ * warns ("store-save-failed") and drops.
  *
  * # Eviction
  *
  * gc() trims the objects directory to a byte budget, oldest mtime
- * first, and never touches entries pinned by an in-flight run
- * (StoreCacheHook pins every spec it serves for its lifetime). Pins
- * are per-process: the serve daemon, which owns the long-lived store,
- * is thereby safe to gc concurrently with active sweeps.
+ * first, over both kinds. It never touches results pinned by an
+ * in-flight run (StoreCacheHook pins every spec it serves for its
+ * lifetime); warm snapshots are never pinned, since losing one only
+ * costs a warm-up. Pins are per-process: the serve daemon, which owns
+ * the long-lived store, is thereby safe to gc concurrently with active
+ * sweeps. gc also reclaims the temp files of publishers that died
+ * mid-write (their pid no longer exists).
  */
 
 #ifndef UNISON_STORE_RESULT_STORE_HH
@@ -67,10 +79,12 @@ namespace unison {
 /** What one gc() pass saw and did. */
 struct StoreGcSummary
 {
-    std::size_t scanned = 0;    //!< objects examined
+    std::size_t scanned = 0;    //!< objects examined (both kinds)
     std::size_t evicted = 0;    //!< objects unlinked
     std::size_t pinnedKept = 0; //!< over-budget but in flight: spared
-    std::uint64_t bytesBefore = 0;
+    std::size_t temps = 0;      //!< temp files seen
+    std::size_t orphansRemoved = 0; //!< temps of dead publishers
+    std::uint64_t bytesBefore = 0;  //!< objects + temp files
     std::uint64_t bytesAfter = 0;
 };
 
@@ -89,6 +103,9 @@ class ResultStore
      *  code version (exposed for tests and tooling). */
     std::string objectPath(const std::string &spec_fp) const;
 
+    /** The warm-snapshot object a warm-prefix key maps to. */
+    std::string warmObjectPath(const std::string &warm_key) const;
+
     /** @name Lookup / insert
      * The Fp variants take a precomputed specFingerprint so batch
      * callers hash each spec once; the plain variants hash inline.
@@ -103,6 +120,15 @@ class ResultStore
                   const SimResult &result);
     /**@}*/
 
+    /** @name Warm snapshots
+     * lookupWarm is all-or-nothing: false (and `out` untouched) on
+     * absence or any doubt. saveWarm never fails the caller.
+     */
+    /**@{*/
+    bool lookupWarm(const std::string &warm_key, WarmCheckpoint &out);
+    void saveWarm(const std::string &warm_key, const WarmCheckpoint &ck);
+    /**@}*/
+
     /** @name In-flight pinning
      * A pinned fingerprint's object survives gc() regardless of the
      * byte budget. Pins nest (a count per fingerprint); unpin drops
@@ -113,9 +139,10 @@ class ResultStore
     void unpin(const std::string &spec_fp);
     /**@}*/
 
-    /** Trim the objects directory to at most `max_bytes`, evicting
-     *  unpinned objects oldest-mtime-first (name-ordered within a
-     *  second). Temp files and pinned objects are never touched. */
+    /** Trim the objects directory to at most `max_bytes`: first unlink
+     *  the temp files of dead publishers, then evict unpinned objects
+     *  oldest-mtime-first (name-ordered within a second). Live temp
+     *  files and pinned results are never touched. */
     StoreGcSummary gc(std::uint64_t max_bytes);
 
     /** @name Counters (per ResultStore instance, thread-safe) */
@@ -123,9 +150,17 @@ class ResultStore
     std::uint64_t hits() const { return hits_.load(); }
     std::uint64_t misses() const { return misses_.load(); }
     std::uint64_t inserts() const { return inserts_.load(); }
+    std::uint64_t warmHits() const { return warmHits_.load(); }
+    std::uint64_t warmSaves() const { return warmSaves_.load(); }
     /**@}*/
 
   private:
+    /** Publish one record frame around `payload` at `path`: temp
+     *  file, rename, directory fsync. False (with a store-save-failed
+     *  warning, and nothing left behind) on any failure. */
+    bool publish(const std::string &path, std::uint32_t magic,
+                 const void *payload, std::size_t len);
+
     std::string dir_;
     std::string codeVersion_;
     std::string versionTag_; //!< fnv16(codeVersion_), cached
@@ -133,6 +168,8 @@ class ResultStore
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> inserts_{0};
+    std::atomic<std::uint64_t> warmHits_{0};
+    std::atomic<std::uint64_t> warmSaves_{0};
     std::atomic<std::uint64_t> tmpSeq_{0};
 
     std::mutex pinMutex_;
@@ -141,12 +178,12 @@ class ResultStore
 
 /**
  * The runner-facing adapter: wires a ResultStore into runExperiments
- * as RunHooks::cache. Construction fingerprints every spec once and
- * pins them all (released on destruction), so a concurrent gc cannot
- * evict an object between its replay-pass hit and the end of the run.
+ * as its RunStore. Construction fingerprints every spec once and pins
+ * them all (released on destruction), so a concurrent gc cannot evict
+ * an object between its replay-pass hit and the end of the run.
  * `specs` must outlive the hook.
  */
-class StoreCacheHook : public ResultJournalHook
+class StoreCacheHook : public RunStore
 {
   public:
     StoreCacheHook(ResultStore &store,
@@ -156,8 +193,13 @@ class StoreCacheHook : public ResultJournalHook
     StoreCacheHook(const StoreCacheHook &) = delete;
     StoreCacheHook &operator=(const StoreCacheHook &) = delete;
 
-    bool tryLoad(std::size_t index, SimResult &out) override;
-    void record(std::size_t index, const SimResult &result) override;
+    bool lookupResult(std::size_t index, SimResult &out) override;
+    void recordResult(std::size_t index,
+                      const SimResult &result) override;
+    bool lookupWarm(const std::string &warm_key,
+                    WarmCheckpoint &out) override;
+    void saveWarm(const std::string &warm_key,
+                  const WarmCheckpoint &ck) override;
 
     /** Points this hook served from the store (replay-pass hits). */
     std::uint64_t hits() const { return hits_.load(); }

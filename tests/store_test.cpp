@@ -5,7 +5,7 @@
  *  - insert/lookup round-trips a result byte-exactly, keyed by spec
  *    content (an equal-but-distinct spec value hits; any changed knob
  *    misses);
- *  - wired into runExperiments as RunHooks::cache, a warm store
+ *  - wired into runExperiments as its RunStore, a warm store
  *    serves a repeated sweep with ZERO simulation and byte-identical
  *    results, across designs and both memory backends;
  *  - a store written by a different code version never serves this
@@ -13,21 +13,29 @@
  *  - a corrupted object (injected via the FaultInjector read seam and
  *    via direct byte damage) is rejected with a structured warning
  *    and degrades to a miss -- never a half-trusted result;
- *  - gc() respects the byte budget, evicts oldest-first, and never
- *    evicts pinned (in-flight) objects, which is what makes a
- *    concurrent `store gc` safe under an active sweep.
+ *  - gc() respects the byte budget, evicts oldest-first over results
+ *    and warm snapshots alike, and never evicts pinned (in-flight)
+ *    results, which is what makes a concurrent `store gc` safe under
+ *    an active sweep; it reclaims the temp files of dead publishers
+ *    and keeps those of live ones;
+ *  - a payload over the record-frame bound is refused up front, so
+ *    the store never publishes an object its own reader rejects.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #include <utime.h>
 
+#include "common/crc_frame.hh"
 #include "common/fault_injection.hh"
 #include "common/file_io.hh"
 #include "common/version.hh"
@@ -117,9 +125,7 @@ TEST(ResultStore, WarmStoreServesSweepWithZeroSimulation)
     std::vector<SimResult> first;
     {
         StoreCacheHook hook(store, specs);
-        RunHooks hooks;
-        hooks.cache = &hook;
-        first = runExperiments(specs, /*threads=*/2, nullptr, hooks);
+        first = runExperiments(specs, /*threads=*/2, nullptr, &hook);
         EXPECT_EQ(hook.hits(), 0u);
     }
     EXPECT_EQ(store.inserts(), specs.size());
@@ -130,13 +136,11 @@ TEST(ResultStore, WarmStoreServesSweepWithZeroSimulation)
     std::vector<SimResult> second;
     {
         StoreCacheHook hook(store, specs);
-        RunHooks hooks;
-        hooks.cache = &hook;
         std::size_t done_calls = 0;
         second = runExperiments(
             specs, /*threads=*/2,
             [&](std::size_t, const SimResult &) { ++done_calls; },
-            hooks);
+            &hook);
         EXPECT_EQ(hook.hits(), specs.size());
         EXPECT_EQ(done_calls, specs.size());
         for (std::size_t i = 0; i < specs.size(); ++i)
@@ -292,6 +296,63 @@ TEST(ResultStore, GcRespectsBudgetAndPins)
     EXPECT_FALSE(fileExists(store.objectPath(fps[2])));
 }
 
+TEST(ResultStore, GcEvictsWarmSnapshotsButNeverPinsThem)
+{
+    ResultStore store(tempDir("gcwarm"));
+    const ExperimentSpec spec = tinySpec(DesignKind::Alloy);
+    store.insert(spec, runExperiment(spec));
+    const std::string fp = specFingerprint(spec);
+    WarmCheckpoint ck;
+    ck.warmAccesses = 1;
+    ck.bytes.assign(64, 0x5a);
+    store.saveWarm("some-warm-prefix", ck);
+    const std::string warm = store.warmObjectPath("some-warm-prefix");
+    ASSERT_TRUE(fileExists(warm));
+
+    // Both kinds count against the budget; only the result is pinned.
+    store.pin(fp);
+    const StoreGcSummary sum = store.gc(0);
+    EXPECT_EQ(sum.scanned, 2u);
+    EXPECT_EQ(sum.evicted, 1u);
+    EXPECT_EQ(sum.pinnedKept, 1u);
+    EXPECT_FALSE(fileExists(warm));
+    EXPECT_TRUE(fileExists(store.objectPath(fp)));
+    store.unpin(fp);
+}
+
+TEST(ResultStore, GcReclaimsOrphanedTempFiles)
+{
+    ResultStore store(tempDir("orphans"));
+    const std::string objects = store.dir() + "/objects/";
+
+    // A publisher killed mid-write leaves its temp file behind.
+    const pid_t child = ::fork();
+    if (child == 0)
+        ::_exit(0);
+    int status = 0;
+    ::waitpid(child, &status, 0); // reaped: the pid names no process
+    const std::string dead =
+        objects + ".tmp." + std::to_string(child) + ".0";
+    const std::string live =
+        objects + ".tmp." + std::to_string(::getpid()) + ".7";
+    const std::string foreign = objects + ".tmp.not-a-pid";
+    const std::vector<std::uint8_t> half_object(100, 0x5a);
+    for (const std::string &path : {dead, live, foreign})
+        ASSERT_TRUE(writeFileBytes(path, half_object).ok());
+
+    // Even a generous budget reclaims the dead publisher's file; a
+    // live publisher's (and any name this store does not write) stay.
+    const StoreGcSummary sum = store.gc(UINT64_MAX);
+    EXPECT_EQ(sum.scanned, 0u);
+    EXPECT_EQ(sum.temps, 3u);
+    EXPECT_EQ(sum.orphansRemoved, 1u);
+    EXPECT_EQ(sum.bytesBefore, 300u);
+    EXPECT_EQ(sum.bytesAfter, 200u);
+    EXPECT_FALSE(fileExists(dead));
+    EXPECT_TRUE(fileExists(live));
+    EXPECT_TRUE(fileExists(foreign));
+}
+
 TEST(ResultStore, HookPinsItsSpecsForItsLifetime)
 {
     ResultStore store(tempDir("hookpin"));
@@ -332,6 +393,47 @@ TEST(ResultStore, FailedInsertDegradesToAWarning)
 
     store.insert(spec, fresh); // and the path recovers
     EXPECT_TRUE(store.lookup(spec, out));
+}
+
+TEST(ResultStore, PayloadOverTheFrameBoundIsRefused)
+{
+    ResultStore store(tempDir("bound"));
+    const std::string key = "frame-bound-warm-prefix";
+    const std::string path = store.warmObjectPath(key);
+
+    // Learn the payload's fixed overhead from a small snapshot...
+    WarmCheckpoint small;
+    small.warmAccesses = 1;
+    small.bytes.assign(16, 0x5a);
+    store.saveWarm(key, small);
+    ASSERT_TRUE(fileExists(path));
+    const std::uint64_t overhead = fileSizeOrZero(path) -
+                                   kRecordFrameHeaderBytes -
+                                   small.bytes.size();
+    ASSERT_EQ(::unlink(path.c_str()), 0);
+
+    // ...then save one whose payload is exactly one byte over.
+    WarmCheckpoint big;
+    big.warmAccesses = 1;
+    big.bytes.assign(kMaxRecordFrameBytes + 1 - overhead, 0x5a);
+    testing::internal::CaptureStderr();
+    store.saveWarm(key, big);
+    const std::string warning = testing::internal::GetCapturedStderr();
+    EXPECT_NE(warning.find("[store-save-failed]"), std::string::npos);
+    EXPECT_NE(warning.find(std::to_string(kMaxRecordFrameBytes + 1) +
+                           " bytes exceeds"),
+              std::string::npos)
+        << warning;
+    EXPECT_EQ(store.warmSaves(), 1u); // the small one only
+
+    // Nothing written: no object, no temp file. The lookup is a clean
+    // miss, not a rejected object.
+    EXPECT_FALSE(fileExists(path));
+    EXPECT_EQ(store.gc(UINT64_MAX).temps, 0u);
+    testing::internal::CaptureStderr();
+    WarmCheckpoint out;
+    EXPECT_FALSE(store.lookupWarm(key, out));
+    EXPECT_TRUE(testing::internal::GetCapturedStderr().empty());
 }
 
 } // namespace

@@ -17,12 +17,12 @@
  * (CI enforces this), so grids can spread across processes or hosts
  * with no coordination beyond the spec file.
  *
- * Crash safety: `--journal j.bin` appends every completed point to an
- * append-only journal the moment it finishes, and `--resume` replays a
- * (possibly torn) journal so a killed run re-simulates only the points
- * it lost -- the final output is byte-identical to an uninterrupted
- * run. `--warm-ckpt-dir` persists warm-up checkpoints across
- * invocations. Exit codes are classified: 2 = usage, 3 = I/O,
+ * Crash safety: `--store DIR` publishes every completed point (and
+ * every warm-up snapshot) to a content-addressed store the moment it
+ * finishes, so rerunning a killed run -- or any shard of it, or an
+ * overlapping grid -- with the same `--store` re-simulates only the
+ * points that never reached it; the final output is byte-identical to
+ * an uninterrupted run. Exit codes are classified: 2 = usage, 3 = I/O,
  * 4 = corrupt input (1 is kept for unclassified spec/config errors).
  *
  * Sweep serving (subcommands, dispatched on argv[1]):
@@ -35,32 +35,29 @@
  *
  * The serve process owns a content-addressed result store; a submit
  * round-trips byte-identically with a local `--spec` run, and a
- * repeated submit is pure cache hits (zero simulation). `--store DIR`
- * on a plain `--figure`/`--spec` run consults and feeds the same
- * store without a server.
+ * repeated submit is pure cache hits (zero simulation); a plain
+ * `--figure`/`--spec` run with `--store DIR` consults and feeds the
+ * same store without a server.
  */
 
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include <sys/stat.h>
 
 #include "bench/bench_common.hh"
 #include "common/error.hh"
-#include "common/file_io.hh"
 #include "common/version.hh"
 #include "dram/backend.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "sim/figures.hh"
-#include "sim/journal.hh"
 #include "sim/spec_json.hh"
 #include "stats/table.hh"
 #include "store/result_store.hh"
@@ -307,117 +304,6 @@ mergeResults(const std::vector<std::string> &paths,
                                           std::move(merged))));
 }
 
-// ----------------------------------------------------------- journal
-
-/**
- * ResultJournalHook over one journal file: replays the completed
- * points of a previous invocation of the *same* grid and build, and
- * appends (durably, fsync-per-record) every point this invocation
- * completes. Construction does all the recovery work: detect a torn
- * tail, report it, truncate it away, and index the surviving records
- * by point label.
- */
-class JournalFile final : public ResultJournalHook
-{
-  public:
-    JournalFile(std::string path, std::string grid_hash,
-                const std::vector<GridPoint> &points, bool resume)
-        : path_(std::move(path)), gridHash_(std::move(grid_hash)),
-          points_(points)
-    {
-        const bool existing =
-            fileExists(path_) && fileSizeOrZero(path_) > 0;
-        if (existing && !resume)
-            throwUsage("journal ", path_,
-                       " already exists; pass --resume to continue "
-                       "the interrupted run (or remove the file to "
-                       "start fresh)");
-        if (!existing)
-            return;
-
-        const std::uint64_t file_bytes = fileSizeOrZero(path_);
-        std::vector<ResultPoint> loaded;
-        JournalLoadSummary sum;
-        ResultJournal::load(path_, gridHash_, kSimCodeVersion, loaded,
-                            &sum)
-            .throwIfFailed();
-        if (sum.torn) {
-            // Expected after a kill: the record in flight tore. Cut
-            // the file back so future appends extend valid frames.
-            structuredWarn(
-                "journal-torn",
-                {{"path", path_},
-                 {"reason", sum.tornReason},
-                 {"action", "truncated to " +
-                                std::to_string(sum.validBytes) +
-                                " valid bytes"}});
-            ResultJournal::truncateTo(path_, sum.validBytes)
-                .throwIfFailed();
-        }
-        if (sum.mismatched != 0)
-            structuredWarn(
-                "journal-foreign-records",
-                {{"path", path_},
-                 {"count", std::to_string(sum.mismatched)},
-                 {"note", "different grid fingerprint or code "
-                          "version; ignored"}});
-        for (ResultPoint &point : loaded)
-            byLabel_.emplace(std::move(point.label),
-                             std::move(point.result));
-        // One explicit accounting line per resume: every record in
-        // the file is either replayed, skipped as foreign (other
-        // grid/build), or dropped with the torn tail -- so "how much
-        // of my run survived?" never needs forensics.
-        const std::string torn_text =
-            sum.torn ? "torn tail truncated (" +
-                           std::to_string(file_bytes -
-                                          sum.validBytes) +
-                           " bytes dropped)"
-                     : "no torn tail";
-        std::fprintf(stderr,
-                     "unison_sim: journal %s: replaying %zu "
-                     "completed point(s); %zu foreign record(s) "
-                     "skipped; %s\n",
-                     path_.c_str(), byLabel_.size(), sum.mismatched,
-                     torn_text.c_str());
-    }
-
-    bool
-    tryLoad(std::size_t index, SimResult &out) override
-    {
-        const auto it = byLabel_.find(points_[index].label);
-        if (it == byLabel_.end())
-            return false;
-        out = it->second;
-        return true;
-    }
-
-    void
-    record(std::size_t index, const SimResult &result) override
-    {
-        ResultPoint point;
-        point.index = points_[index].index;
-        point.label = points_[index].label;
-        point.spec = points_[index].spec;
-        point.result = result;
-        const SimStatus status = ResultJournal::append(
-            path_, gridHash_, kSimCodeVersion, point);
-        // Runs on a worker thread, so no throwing: a journal that
-        // cannot take appends means the durability the user asked for
-        // is gone -- end the run with the I/O class.
-        if (!status.ok())
-            exitWith(status.code,
-                     "journal append to " + path_ +
-                         " failed: " + status.message);
-    }
-
-  private:
-    std::string path_;
-    std::string gridHash_;
-    const std::vector<GridPoint> &points_;
-    std::unordered_map<std::string, SimResult> byLabel_;
-};
-
 // ------------------------------------------------------------- runs
 
 std::string
@@ -439,20 +325,11 @@ tableOutput(const std::vector<ResultPoint> &points, bool csv)
     return csv ? t.toCsv() : t.toString();
 }
 
-/** The crash-safety knobs of a run, bundled (all optional). */
-struct DurabilityOptions
-{
-    std::string journalPath; //!< --journal: append-only result log
-    bool resume = false;     //!< --resume: replay an existing journal
-    std::string warmCkptDir; //!< --warm-ckpt-dir: checkpoint store
-    std::string storeDir;    //!< --store: content-addressed results
-};
-
 int
 runGrid(const std::string &grid_name, std::vector<GridPoint> points,
         const std::string &shard_text, int threads,
         const std::string &memory_backend, const std::string &format,
-        const std::string &out_path, const DurabilityOptions &durable)
+        const std::string &out_path, const std::string &store_dir)
 {
     // Fold the memory-backend override into every point before the
     // grid is fingerprinted, so shards agree on what they ran.
@@ -486,50 +363,37 @@ runGrid(const std::string &grid_name, std::vector<GridPoint> points,
             fatal("point '", point.label, "': ", err);
     }
 
-    // The journal indexes into the *sharded* point list (the specs
-    // the runner actually sees), but its records carry full-grid
-    // indices and the full-grid fingerprint, so each shard of one
-    // grid can keep its own journal file.
-    std::unique_ptr<JournalFile> journal;
-    if (!durable.journalPath.empty())
-        journal = std::make_unique<JournalFile>(
-            durable.journalPath, grid_hash, points, durable.resume);
-    std::unique_ptr<FileCheckpointStore> checkpoints;
-    if (!durable.warmCkptDir.empty())
-        checkpoints = std::make_unique<FileCheckpointStore>(
-            durable.warmCkptDir);
-
-    // The content-addressed store is the cross-run cache: points any
-    // previous run of the same spec and build completed replay from
-    // it, and fresh completions publish back. The hook needs the
-    // specs in runner order, alive for the whole run.
-    std::unique_ptr<ResultStore> store;
-    std::unique_ptr<StoreCacheHook> cache;
+    // The content-addressed store is the one durable mechanism:
+    // points any previous run of the same spec and build completed --
+    // including a killed run, or another shard of this grid -- replay
+    // from it, and fresh completions and warm snapshots publish back.
+    // The hook needs the specs in runner order, alive for the whole
+    // run.
+    std::optional<ResultStore> store;
+    std::optional<StoreCacheHook> hook;
     std::vector<ExperimentSpec> specs;
-    if (!durable.storeDir.empty()) {
-        store = std::make_unique<ResultStore>(durable.storeDir);
+    if (!store_dir.empty()) {
+        store.emplace(store_dir);
         specs.reserve(points.size());
         for (const GridPoint &point : points)
             specs.push_back(point.spec);
-        cache = std::make_unique<StoreCacheHook>(*store, specs);
+        hook.emplace(*store, specs);
     }
 
-    RunHooks hooks;
-    hooks.journal = journal.get();
-    hooks.checkpoints = checkpoints.get();
-    hooks.cache = cache.get();
+    const std::vector<SimResult> results = runAll(
+        points, threads, "unison_sim", hook ? &*hook : nullptr);
 
-    const std::vector<SimResult> results =
-        runAll(points, threads, "unison_sim", hooks);
-
-    if (store != nullptr)
+    if (store)
         std::fprintf(stderr,
                      "unison_sim: store %s: %llu hit(s), %llu "
-                     "insert(s)\n",
+                     "insert(s), %llu warm hit(s), %llu warm "
+                     "save(s)\n",
                      store->dir().c_str(),
                      static_cast<unsigned long long>(store->hits()),
+                     static_cast<unsigned long long>(store->inserts()),
+                     static_cast<unsigned long long>(store->warmHits()),
                      static_cast<unsigned long long>(
-                         store->inserts()));
+                         store->warmSaves()));
 
     std::vector<ResultPoint> out;
     out.reserve(points.size());
@@ -661,9 +525,9 @@ storeCommand(int argc, char **argv)
     if (argc < 2 || std::string(argv[1]) != "gc")
         throwUsage("store: the one subcommand is gc (unison_sim "
                    "store gc --store <dir> --max-bytes <size>)");
-    ArgParser args("unison_sim store gc: evict the oldest unpinned "
-                   "objects of a result store until it fits a byte "
-                   "budget");
+    ArgParser args("unison_sim store gc: reclaim the temp files of dead "
+                   "publishers, then evict the oldest unpinned objects "
+                   "of a result store until it fits a byte budget");
     args.addOption("store", "", "result store directory");
     args.addOption("max-bytes", "",
                    "byte budget (accepts K/M/G suffixes)");
@@ -685,11 +549,12 @@ storeCommand(int argc, char **argv)
 
     ResultStore store(dir);
     const StoreGcSummary sum = store.gc(budget);
-    std::printf("store gc %s: %zu object(s) (%llu bytes), evicted "
+    std::printf("store gc %s: %zu object(s) and %zu temp file(s) "
+                "(%llu bytes), reclaimed %zu orphaned temp(s), evicted "
                 "%zu, kept %zu pinned, now %llu bytes\n",
-                dir.c_str(), sum.scanned,
+                dir.c_str(), sum.scanned, sum.temps,
                 static_cast<unsigned long long>(sum.bytesBefore),
-                sum.evicted, sum.pinnedKept,
+                sum.orphansRemoved, sum.evicted, sum.pinnedKept,
                 static_cast<unsigned long long>(sum.bytesAfter));
     return 0;
 }
@@ -747,19 +612,11 @@ main(int argc, char **argv)
     args.addOption("memory-backend", "",
                    "override system.memoryBackend of every point "
                    "(see --list-backends; empty = leave spec values)");
-    args.addOption("journal", "",
-                   "append each completed point to this crash-safe "
-                   "journal file as it finishes");
-    args.addFlag("resume",
-                 "with --journal: replay the journal's completed "
-                 "points and simulate only the rest");
-    args.addOption("warm-ckpt-dir", "",
-                   "persist warm-up checkpoints in this directory "
-                   "and reuse them across invocations");
     args.addOption("store", "",
                    "content-addressed result store: replay points "
                    "any previous run of the same spec and build "
-                   "completed, publish fresh ones");
+                   "completed (a killed run resumes by rerunning), "
+                   "publish fresh results and warm-up snapshots");
     addThreadsOption(args);
     args.parse(argc, argv);
 
@@ -770,12 +627,7 @@ main(int argc, char **argv)
     const int threads = parseThreads(args);
     const std::string memory_backend =
         args.getString("memory-backend");
-
-    DurabilityOptions durable;
-    durable.journalPath = args.getString("journal");
-    durable.resume = args.getFlag("resume");
-    durable.warmCkptDir = args.getString("warm-ckpt-dir");
-    durable.storeDir = args.getString("store");
+    const std::string store_dir = args.getString("store");
 
     // Classified exits: SimError carries its own exit code (2 usage,
     // 3 I/O, 4 corrupt input); malformed JSON is corrupt input by
@@ -792,15 +644,9 @@ main(int argc, char **argv)
                 "pick exactly one of --list, --list-backends, "
                 "--knobs, --figure, --spec or --merge (try --list "
                 "first, or --help)");
-        if (durable.resume && durable.journalPath.empty())
-            throwUsage("--resume needs --journal <path> (nothing to "
-                       "resume from)");
-        if ((!durable.journalPath.empty() ||
-             !durable.warmCkptDir.empty() ||
-             !durable.storeDir.empty()) &&
-            figure.empty() && spec_path.empty())
-            throwUsage("--journal / --warm-ckpt-dir / --store only "
-                       "apply to --figure and --spec runs");
+        if (!store_dir.empty() && figure.empty() && spec_path.empty())
+            throwUsage("--store only applies to --figure and --spec "
+                       "runs");
 
         if (args.getFlag("list")) {
             listEverything();
@@ -836,7 +682,7 @@ main(int argc, char **argv)
                            args.getString("shard"), threads,
                            memory_backend,
                            args.getString("format"),
-                           args.getString("out"), durable);
+                           args.getString("out"), store_dir);
         }
 
         GridFile grid = gridFromJson(json::parse(readFile(spec_path)));
@@ -844,7 +690,7 @@ main(int argc, char **argv)
                        args.getString("shard"), threads,
                        memory_backend,
                        args.getString("format"),
-                       args.getString("out"), durable);
+                       args.getString("out"), store_dir);
     } catch (const SimError &e) {
         exitWith(e.code(), e.what());
     } catch (const json::Error &e) {
