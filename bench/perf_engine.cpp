@@ -95,6 +95,29 @@ statusKb(const char *field)
     return kb;
 }
 
+/** The kernel's transparent-huge-page mode -- the bracketed word of
+ *  /sys/kernel/mm/transparent_hugepage/enabled -- or "unknown". The
+ *  large state arrays ask for huge pages, so set-up time and memory
+ *  depend on it. */
+std::string
+thpMode()
+{
+    std::string mode = "unknown";
+    if (std::FILE *f = std::fopen(
+            "/sys/kernel/mm/transparent_hugepage/enabled", "rb")) {
+        char line[128];
+        if (std::fgets(line, sizeof(line), f) != nullptr) {
+            const char *open = std::strchr(line, '[');
+            const char *close =
+                open != nullptr ? std::strchr(open, ']') : nullptr;
+            if (close != nullptr)
+                mode.assign(open + 1, close);
+        }
+        std::fclose(f);
+    }
+    return mode;
+}
+
 /** The host a report came from: perf_check.py only compares reports
  *  whose host objects match. */
 std::string
@@ -122,6 +145,7 @@ hostJson()
     host.set("cpu", cpu);
     host.set("compiler", UNISON_COMPILER);
     host.set("build_type", UNISON_BUILD_TYPE);
+    host.set("thp", thpMode());
     return json::writeCompact(host);
 }
 

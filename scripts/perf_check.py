@@ -6,8 +6,9 @@ throughput regressions.
 Usage: perf_check.py BASELINE.json CURRENT.json
 
 Throughput only compares within one class of host: when the two
-reports' `host` objects (vCPUs, CPU model, compiler, build type)
-differ, or a report has none, the script prints a notice instead.
+reports' `host` objects (vCPUs, CPU model, compiler, build type,
+transparent-huge-page mode) differ, or a report has none, the script
+prints a notice instead.
 
 Exit status is always 0: CI perf numbers come from unpinned shared
 runners, so a regression here is a signal to look, not a build

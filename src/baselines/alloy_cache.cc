@@ -35,7 +35,7 @@ DramCacheResult
 AlloyCache::access(const DramCacheRequest &req)
 {
     std::uint64_t tad_idx;
-    std::uint32_t tag;
+    std::uint64_t tag;
     org_.locate(blockNumber(req.addr), tad_idx, tag);
     std::uint64_t &tad = org_.word(tad_idx);
     const std::uint64_t row = geometry_.rowOfTad(tad_idx);
@@ -136,7 +136,7 @@ bool
 AlloyCache::blockPresent(Addr addr) const
 {
     std::uint64_t tad_idx;
-    std::uint32_t tag;
+    std::uint64_t tag;
     org_.locate(blockNumber(addr), tad_idx, tag);
     return org_.present(tad_idx, tag);
 }
@@ -145,7 +145,7 @@ bool
 AlloyCache::blockDirty(Addr addr) const
 {
     std::uint64_t tad_idx;
-    std::uint32_t tag;
+    std::uint64_t tag;
     org_.locate(blockNumber(addr), tad_idx, tag);
     return org_.word(tad_idx) == (kValid | kDirty | tag);
 }

@@ -115,7 +115,7 @@ class FootprintCache final : public DramCache
         return org_.setBase(set);
     }
     int
-    findWay(std::uint64_t set, std::uint32_t tag) const
+    findWay(std::uint64_t set, std::uint64_t tag) const
     {
         return org_.findWay(set, tag);
     }

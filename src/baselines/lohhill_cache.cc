@@ -44,7 +44,7 @@ LohHillCache::LohHillCache(const LohHillConfig &config, MemoryBackend *offchip)
 
 void
 LohHillCache::locate(Addr addr, std::uint64_t &set,
-                     std::uint32_t &tag) const
+                     std::uint64_t &tag) const
 {
     org_.locate(blockNumber(addr), set, tag);
 }
@@ -53,7 +53,7 @@ DramCacheResult
 LohHillCache::access(const DramCacheRequest &req)
 {
     std::uint64_t set;
-    std::uint32_t tag;
+    std::uint64_t tag;
     locate(req.addr, set, tag);
     if (req.isWrite)
         ++stats_.writes;
@@ -130,7 +130,7 @@ bool
 LohHillCache::blockPresent(Addr addr) const
 {
     std::uint64_t set;
-    std::uint32_t tag;
+    std::uint64_t tag;
     locate(addr, set, tag);
     return org_.findWay(set, tag) >= 0;
 }
@@ -139,7 +139,7 @@ bool
 LohHillCache::blockDirty(Addr addr) const
 {
     std::uint64_t set;
-    std::uint32_t tag;
+    std::uint64_t tag;
     locate(addr, set, tag);
     const int way = org_.findWay(set, tag);
     return way >= 0 &&

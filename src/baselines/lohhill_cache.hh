@@ -108,7 +108,7 @@ class LohHillCache final : public DramCache
     static constexpr std::uint64_t kDirty = kWayDirtyBit;
     static constexpr std::uint64_t kTagMask = kWayTagMask;
 
-    void locate(Addr addr, std::uint64_t &set, std::uint32_t &tag) const;
+    void locate(Addr addr, std::uint64_t &set, std::uint64_t &tag) const;
 
     LohHillConfig config_;
     LohHillGeometry geometry_;

@@ -153,7 +153,7 @@ class NaiveBlockFpCache final : public DramCache
         std::uint64_t page = 0;
         std::uint32_t offset = 0;
         std::uint64_t tadIdx = 0;
-        std::uint32_t tag = 0;
+        std::uint64_t tag = 0;
     };
 
     Location locate(Addr addr) const;

@@ -35,6 +35,7 @@
 #include "cache/set_scan.hh"
 #include "cache/set_scan_simd.hh"
 #include "common/fastdiv.hh"
+#include "common/huge_pages.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 
@@ -46,7 +47,7 @@ struct PageLocation
     std::uint64_t page = 0;   //!< global page number
     std::uint32_t offset = 0; //!< block offset within the page
     std::uint64_t set = 0;
-    std::uint32_t tag = 0;
+    std::uint64_t tag = 0;
 };
 
 /**
@@ -93,7 +94,7 @@ class PageOrganization
         std::uint64_t q, r;
         numSetsDiv_.divMod(loc.page, q, r);
         loc.set = r;
-        loc.tag = static_cast<std::uint32_t>(q);
+        loc.tag = q;
         return loc;
     }
 
@@ -114,7 +115,7 @@ class PageOrganization
 
     /** Way of `set` holding page tag `tag`, or -1 (absent). */
     int
-    findWay(std::uint64_t set, std::uint32_t tag) const
+    findWay(std::uint64_t set, std::uint64_t tag) const
     {
         return ways_.findWay(setBase(set), assoc_, tag);
     }
@@ -165,17 +166,15 @@ class DirectOrganization
     {
         numFrames_ = num_frames;
         numFramesDiv_.init(num_frames);
-        words_.assign(num_frames, 0);
+        assignHuge(words_, num_frames, 0);
     }
 
     /** Frame and tag of a global block number. */
     void
     locate(std::uint64_t block, std::uint64_t &frame,
-           std::uint32_t &tag) const
+           std::uint64_t &tag) const
     {
-        std::uint64_t q;
-        numFramesDiv_.divMod(block, q, frame);
-        tag = static_cast<std::uint32_t>(q);
+        numFramesDiv_.divMod(block, tag, frame);
     }
 
     /** Global block number resident in `frame` (from its tag word). */
@@ -186,7 +185,7 @@ class DirectOrganization
     }
 
     bool
-    present(std::uint64_t frame, std::uint32_t tag) const
+    present(std::uint64_t frame, std::uint64_t tag) const
     {
         return (words_[frame] & ~kWayDirtyBit) == (kWayValidBit | tag);
     }
@@ -227,18 +226,16 @@ class RowSetOrganization
         numSets_ = num_sets;
         waysPerSet_ = ways_per_set;
         numSetsDiv_.init(num_sets);
-        tagv_.assign(num_sets * ways_per_set, 0);
-        lastUse_.assign(num_sets * ways_per_set, 0);
+        assignHuge(tagv_, num_sets * ways_per_set, 0);
+        assignHuge(lastUse_, num_sets * ways_per_set, 0);
     }
 
     /** Set and tag of a global block number. */
     void
     locate(std::uint64_t block, std::uint64_t &set,
-           std::uint32_t &tag) const
+           std::uint64_t &tag) const
     {
-        std::uint64_t q;
-        numSetsDiv_.divMod(block, q, set);
-        tag = static_cast<std::uint32_t>(q);
+        numSetsDiv_.divMod(block, tag, set);
     }
 
     /** Global block number resident in (set, way). */
@@ -255,7 +252,7 @@ class RowSetOrganization
     }
 
     int
-    findWay(std::uint64_t set, std::uint32_t tag) const
+    findWay(std::uint64_t set, std::uint64_t tag) const
     {
         return scanWaysFast(&tagv_[base(set)], waysPerSet_,
                             ~kWayDirtyBit, kWayValidBit | tag);

@@ -31,6 +31,7 @@
 
 #include "cache/set_scan.hh"
 #include "cache/set_scan_simd.hh"
+#include "common/huge_pages.hh"
 #include "common/state_io.hh"
 
 namespace unison {
@@ -58,7 +59,7 @@ struct PageWayCold
  *  tag, bit vectors, trigger PC + offset, measurement generation). */
 struct PageInstall
 {
-    std::uint32_t tag = 0;
+    std::uint64_t tag = 0;
     std::uint32_t pcHash = 0;
     std::uint8_t trigger = 0;
     std::uint32_t predicted = 0;
@@ -81,9 +82,9 @@ struct PageWaySoa
     void
     resize(std::size_t ways)
     {
-        tagv.assign(ways, 0);
-        hot.assign(ways, PageWayHot{});
-        cold.assign(ways, PageWayCold{});
+        assignHuge(tagv, ways, 0);
+        assignHuge(hot, ways, PageWayHot{});
+        assignHuge(cold, ways, PageWayCold{});
     }
 
     bool valid(std::size_t idx) const { return tagv[idx] != 0; }

@@ -39,6 +39,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace unison {
@@ -177,7 +178,7 @@ class FlatU64Map
     void
     reset(std::size_t cap)
     {
-        slots_.assign(cap, Slot{kEmptyKey, Value{}});
+        assignHuge(slots_, cap, Slot{kEmptyKey, Value{}});
         mask_ = cap - 1;
         shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
         size_ = 0;

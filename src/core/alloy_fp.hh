@@ -118,7 +118,7 @@ class AlloyFpCache final : public DramCache
         std::uint64_t page = 0;
         std::uint32_t offset = 0;
         std::uint64_t frame = 0;
-        std::uint32_t tag = 0;
+        std::uint64_t tag = 0;
     };
 
     Location locate(Addr addr) const;

@@ -237,7 +237,7 @@ class UnisonCacheT final : public DramCache
     }
 
     int
-    findWay(std::uint64_t set, std::uint32_t tag) const
+    findWay(std::uint64_t set, std::uint64_t tag) const
     {
         return org_.findWay(set, tag);
     }

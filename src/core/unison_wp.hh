@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/huge_pages.hh"
 #include "core/unison_cache.hh"
 
 namespace unison {
@@ -65,7 +66,7 @@ class SwappableWayPolicy
                   config.assoc)
     {
         if (kind_ == UnisonWayPredictorKind::Mru)
-            mruWay_.assign(geometry.numSets, 0);
+            assignHuge(mruWay_, geometry.numSets, 0);
     }
 
     std::uint32_t

@@ -163,21 +163,13 @@ DetailedChannel::drainOne(Cycle now)
 }
 
 void
-DetailedChannel::drainStarved(Cycle now)
+DetailedChannel::drainOldest(Cycle now)
 {
-    for (int i = 0; i < wqSize_; ++i) {
-        if (wq_[i].bypasses < static_cast<std::uint32_t>(kStarvationCap))
-            continue;
-        if (i != 0)
-            ++qstats_.frfcfsReorders;
-        const WriteEntry entry = wq_[i];
-        removeQueued(i);
-        performCommand(static_cast<int>(entry.bank), entry.row,
-                       entry.bytes, true, now);
-        ++qstats_.drainedWrites;
-        return;
-    }
-    panic("drainStarved with no starved entry queued");
+    const WriteEntry entry = wq_[0];
+    removeQueued(0);
+    performCommand(static_cast<int>(entry.bank), entry.row, entry.bytes,
+                   true, now);
+    ++qstats_.drainedWrites;
 }
 
 std::uint32_t
@@ -225,13 +217,15 @@ DetailedChannel::access(int bank_idx, std::uint64_t row,
     // Read priority: the read bypasses every queued write -- unless a
     // write has hit the starvation cap, in which case it retires
     // first. This bounds write latency without giving up read-first
-    // scheduling.
+    // scheduling. Every queued write gains one bypass per read and
+    // removals keep queue order, so the oldest write, wq_[0], always
+    // carries the largest count: checking it alone is the whole test.
     for (int i = 0; i < wqSize_; ++i)
         ++wq_[i].bypasses;
-    while (maxQueuedBypasses() >=
-           static_cast<std::uint32_t>(kStarvationCap)) {
+    while (wqSize_ > 0 &&
+           wq_[0].bypasses >= static_cast<std::uint32_t>(kStarvationCap)) {
         ++qstats_.starvationDrains;
-        drainStarved(earliest);
+        drainOldest(earliest);
     }
     return performCommand(bank_idx, row, bytes, false, earliest);
 }

@@ -66,6 +66,14 @@ class DetailedChannel
     /** Largest bypass count over the queued writes (invariant hook). */
     std::uint32_t maxQueuedBypasses() const;
 
+    /** Bypass count of the oldest queued write, 0 when the queue is
+     *  empty (invariant hook: it equals maxQueuedBypasses()). */
+    std::uint32_t
+    oldestQueuedBypasses() const
+    {
+        return wqSize_ > 0 ? wq_[0].bypasses : 0;
+    }
+
     void saveState(StateWriter &out) const;
     void loadState(StateReader &in);
 
@@ -102,8 +110,9 @@ class DetailedChannel
      *  oldest otherwise). */
     void drainOne(Cycle now);
 
-    /** Retire the oldest write that hit the starvation cap. */
-    void drainStarved(Cycle now);
+    /** Retire the oldest queued write (the one that hit the
+     *  starvation cap). */
+    void drainOldest(Cycle now);
 
     void removeQueued(int idx);
 

@@ -1,6 +1,7 @@
 #include "predictors/miss_predictor.hh"
 
 #include "common/bitops.hh"
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace unison {
@@ -11,7 +12,8 @@ MissPredictor::MissPredictor(const MissPredictorConfig &config)
     UNISON_ASSERT(config_.numCores >= 1, "miss predictor needs cores");
     UNISON_ASSERT(isPowerOfTwo(config_.entriesPerCore),
                   "entriesPerCore must be a power of two");
-    counters_.assign(
+    assignHuge(
+        counters_,
         static_cast<std::size_t>(config_.numCores) *
             config_.entriesPerCore,
         config_.initValue);

@@ -1,6 +1,7 @@
 #include "predictors/singleton_table.hh"
 
 #include "common/bitops.hh"
+#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace unison {
@@ -14,7 +15,7 @@ SingletonTable::SingletonTable(const SingletonTableConfig &config)
     numSets_ = config_.numEntries / config_.assoc;
     UNISON_ASSERT(isPowerOfTwo(numSets_),
                   "singleton set count must be a power of two");
-    entries_.resize(config_.numEntries);
+    assignHuge(entries_, config_.numEntries, Entry{});
 }
 
 void

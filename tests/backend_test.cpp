@@ -242,6 +242,38 @@ TEST(DetailedChannel, StarvationCapBoundsWriteBypasses)
     EXPECT_EQ(ch.stats().writes.value(), 1u);
 }
 
+TEST(DetailedChannel, OldestQueuedWriteCarriesTheMostBypasses)
+{
+    // A random read/write stream that works every removal path: read
+    // bypasses, starvation drains of the oldest write, watermark
+    // drains, and FR-FCFS row-hit picks from deep in the queue.
+    DetailedChannel ch(stackedCpu(), 8);
+    Rng rng(2024);
+    Cycle at = 0;
+    for (int i = 0; i < 20000; ++i) {
+        at += rng.below(80);
+        // Alternate write-heavy and read-heavy phases so the queue
+        // both crosses its high watermark and sits under read traffic
+        // long enough to starve.
+        const bool write_phase = (i / 200) % 2 == 0;
+        const bool is_write = rng.below(write_phase ? 4 : 16) < 3;
+        ch.access(static_cast<int>(rng.below(8)), rng.below(4), 64,
+                  is_write, at);
+        ASSERT_EQ(ch.oldestQueuedBypasses(), ch.maxQueuedBypasses())
+            << "access " << i;
+        if (!is_write) {
+            ASSERT_LT(ch.maxQueuedBypasses(),
+                      static_cast<std::uint32_t>(
+                          DetailedChannel::kStarvationCap))
+                << "read " << i;
+        }
+    }
+    const MemoryQueueStats &q = ch.queueStats();
+    EXPECT_GT(q.starvationDrains, 0u);
+    EXPECT_GT(q.writeDrains, 0u);
+    EXPECT_GT(q.frfcfsReorders, 0u);
+}
+
 TEST(DetailedChannel, StateRoundTripResumesIdentically)
 {
     const DramTimingCpu t = stackedCpu();
