@@ -96,9 +96,9 @@ statusKb(const char *field)
 }
 
 /** The kernel's transparent-huge-page mode -- the bracketed word of
- *  /sys/kernel/mm/transparent_hugepage/enabled -- or "unknown". The
- *  large state arrays ask for huge pages, so set-up time and memory
- *  depend on it. */
+ *  /sys/kernel/mm/transparent_hugepage/enabled -- or "unknown". Under
+ *  `always` the kernel backs the large state arrays with huge pages by
+ *  itself, so set-up time and memory depend on it. */
 std::string
 thpMode()
 {

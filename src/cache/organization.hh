@@ -35,7 +35,7 @@
 #include "cache/set_scan.hh"
 #include "cache/set_scan_simd.hh"
 #include "common/fastdiv.hh"
-#include "common/huge_pages.hh"
+#include "common/prefault.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 
@@ -166,7 +166,7 @@ class DirectOrganization
     {
         numFrames_ = num_frames;
         numFramesDiv_.init(num_frames);
-        assignHuge(words_, num_frames, 0);
+        assignPrefaulted(words_, num_frames, 0);
     }
 
     /** Frame and tag of a global block number. */
@@ -226,8 +226,8 @@ class RowSetOrganization
         numSets_ = num_sets;
         waysPerSet_ = ways_per_set;
         numSetsDiv_.init(num_sets);
-        assignHuge(tagv_, num_sets * ways_per_set, 0);
-        assignHuge(lastUse_, num_sets * ways_per_set, 0);
+        assignPrefaulted(tagv_, num_sets * ways_per_set, 0);
+        assignPrefaulted(lastUse_, num_sets * ways_per_set, 0);
     }
 
     /** Set and tag of a global block number. */

@@ -31,7 +31,7 @@
 
 #include "cache/set_scan.hh"
 #include "cache/set_scan_simd.hh"
-#include "common/huge_pages.hh"
+#include "common/prefault.hh"
 #include "common/state_io.hh"
 
 namespace unison {
@@ -82,9 +82,9 @@ struct PageWaySoa
     void
     resize(std::size_t ways)
     {
-        assignHuge(tagv, ways, 0);
-        assignHuge(hot, ways, PageWayHot{});
-        assignHuge(cold, ways, PageWayCold{});
+        assignPrefaulted(tagv, ways, 0);
+        assignPrefaulted(hot, ways, PageWayHot{});
+        assignPrefaulted(cold, ways, PageWayCold{});
     }
 
     bool valid(std::size_t idx) const { return tagv[idx] != 0; }

@@ -1,7 +1,7 @@
 #include "cache/sram_cache.hh"
 
 #include "common/bitops.hh"
-#include "common/huge_pages.hh"
+#include "common/prefault.hh"
 #include "common/logging.hh"
 
 namespace unison {
@@ -23,8 +23,8 @@ SetAssocCache::SetAssocCache(const SramCacheConfig &config)
                   config_.name, ": set count must be a power of two");
     blockShift_ = exactLog2(config_.blockBytes);
     setShift_ = exactLog2(numSets_);
-    assignHuge(meta_, blocks, 0);
-    assignHuge(lastUse_, blocks, 0);
+    assignPrefaulted(meta_, blocks, 0);
+    assignPrefaulted(lastUse_, blocks, 0);
     mru_.assign(numSets_, 0);
 }
 

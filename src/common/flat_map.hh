@@ -39,7 +39,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace unison {
@@ -178,7 +177,7 @@ class FlatU64Map
     void
     reset(std::size_t cap)
     {
-        assignHuge(slots_, cap, Slot{kEmptyKey, Value{}});
+        slots_.assign(cap, Slot{kEmptyKey, Value{}});
         mask_ = cap - 1;
         shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
         size_ = 0;

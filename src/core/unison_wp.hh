@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/huge_pages.hh"
 #include "core/unison_cache.hh"
 
 namespace unison {
@@ -66,7 +65,7 @@ class SwappableWayPolicy
                   config.assoc)
     {
         if (kind_ == UnisonWayPredictorKind::Mru)
-            assignHuge(mruWay_, geometry.numSets, 0);
+            mruWay_.assign(geometry.numSets, 0);
     }
 
     std::uint32_t

@@ -66,14 +66,6 @@ class DetailedChannel
     /** Largest bypass count over the queued writes (invariant hook). */
     std::uint32_t maxQueuedBypasses() const;
 
-    /** Bypass count of the oldest queued write, 0 when the queue is
-     *  empty (invariant hook: it equals maxQueuedBypasses()). */
-    std::uint32_t
-    oldestQueuedBypasses() const
-    {
-        return wqSize_ > 0 ? wq_[0].bypasses : 0;
-    }
-
     void saveState(StateWriter &out) const;
     void loadState(StateReader &in);
 

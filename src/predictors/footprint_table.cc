@@ -1,7 +1,6 @@
 #include "predictors/footprint_table.hh"
 
 #include "common/bitops.hh"
-#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace unison {
@@ -20,7 +19,7 @@ FootprintHistoryTable::FootprintHistoryTable(
                   "footprint masks wider than 64 blocks unsupported");
     UNISON_ASSERT(config_.tagBits <= 31,
                   "packed FHT entries hold at most 31 tag bits");
-    assignHuge(entries_, config_.numEntries, Entry{});
+    entries_.resize(config_.numEntries);
 }
 
 void

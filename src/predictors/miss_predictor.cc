@@ -1,7 +1,6 @@
 #include "predictors/miss_predictor.hh"
 
 #include "common/bitops.hh"
-#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace unison {
@@ -12,8 +11,7 @@ MissPredictor::MissPredictor(const MissPredictorConfig &config)
     UNISON_ASSERT(config_.numCores >= 1, "miss predictor needs cores");
     UNISON_ASSERT(isPowerOfTwo(config_.entriesPerCore),
                   "entriesPerCore must be a power of two");
-    assignHuge(
-        counters_,
+    counters_.assign(
         static_cast<std::size_t>(config_.numCores) *
             config_.entriesPerCore,
         config_.initValue);

@@ -1,7 +1,6 @@
 #include "predictors/singleton_table.hh"
 
 #include "common/bitops.hh"
-#include "common/huge_pages.hh"
 #include "common/logging.hh"
 
 namespace unison {
@@ -15,7 +14,7 @@ SingletonTable::SingletonTable(const SingletonTableConfig &config)
     numSets_ = config_.numEntries / config_.assoc;
     UNISON_ASSERT(isPowerOfTwo(numSets_),
                   "singleton set count must be a power of two");
-    assignHuge(entries_, config_.numEntries, Entry{});
+    entries_.resize(config_.numEntries);
 }
 
 void

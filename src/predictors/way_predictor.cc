@@ -1,6 +1,5 @@
 #include "predictors/way_predictor.hh"
 
-#include "common/huge_pages.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -12,7 +11,7 @@ WayPredictor::WayPredictor(std::uint32_t index_bits, std::uint32_t assoc)
     UNISON_ASSERT(index_bits >= 4 && index_bits <= 24,
                   "way predictor index bits out of range: ", index_bits);
     UNISON_ASSERT(assoc >= 1, "way predictor for assoc 0");
-    assignHuge(table_, 1ull << indexBits_, 0);
+    table_.assign(1ull << indexBits_, 0);
 }
 
 std::uint32_t

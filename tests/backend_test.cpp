@@ -242,11 +242,14 @@ TEST(DetailedChannel, StarvationCapBoundsWriteBypasses)
     EXPECT_EQ(ch.stats().writes.value(), 1u);
 }
 
-TEST(DetailedChannel, OldestQueuedWriteCarriesTheMostBypasses)
+TEST(DetailedChannel, RandomStreamKeepsQueuedWritesUnderStarvationCap)
 {
     // A random read/write stream that works every removal path: read
     // bypasses, starvation drains of the oldest write, watermark
-    // drains, and FR-FCFS row-hit picks from deep in the queue.
+    // drains, and FR-FCFS row-hit picks from deep in the queue. The
+    // controller checks only the oldest queued write against the cap,
+    // so a younger write carrying more bypasses would cross the cap
+    // undrained and fail the bound below.
     DetailedChannel ch(stackedCpu(), 8);
     Rng rng(2024);
     Cycle at = 0;
@@ -259,8 +262,6 @@ TEST(DetailedChannel, OldestQueuedWriteCarriesTheMostBypasses)
         const bool is_write = rng.below(write_phase ? 4 : 16) < 3;
         ch.access(static_cast<int>(rng.below(8)), rng.below(4), 64,
                   is_write, at);
-        ASSERT_EQ(ch.oldestQueuedBypasses(), ch.maxQueuedBypasses())
-            << "access " << i;
         if (!is_write) {
             ASSERT_LT(ch.maxQueuedBypasses(),
                       static_cast<std::uint32_t>(
