@@ -10,9 +10,9 @@
 #include <benchmark/benchmark.h>
 
 #include "baselines/alloy_cache.hh"
-#include "baselines/naive_block_fp.hh"
 #include "cache/sram_cache.hh"
 #include "common/residue.hh"
+#include "core/alloy_fp.hh"
 #include "core/conflict_model.hh"
 #include "common/rng.hh"
 #include "core/unison_cache.hh"
@@ -163,7 +163,7 @@ BM_NaiveBlockFpAccess(benchmark::State &state)
     DramModule offchip(offChipDramOrganization(), offChipDramTiming());
     NaiveBlockFpConfig cfg;
     cfg.capacityBytes = 64_MiB;
-    NaiveBlockFpCache cache(cfg, &offchip);
+    AlloyFpCache cache(cfg, &offchip, BlockFpMetadata::InDram);
     Rng rng(11);
     Cycle clock = 0;
     for (auto _ : state) {

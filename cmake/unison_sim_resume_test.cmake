@@ -13,8 +13,9 @@
 #     object (read-corrupt injection) is rejected with a structured
 #     warning and falls back to a cold warm-up, byte-identically;
 #  4. the classified exit codes hold: 2 for usage errors, 3 for I/O, 4
-#     for corrupt input (including a spec in a retired schema
-#     version), 1 for an option the build no longer has.
+#     for corrupt input (including a spec in a retired schema version
+#     and a knob outside its range), 1 for an option the build no
+#     longer has.
 #
 # Invoked as:
 #   cmake -DUNISON_SIM_BIN=<path> -DSMOKE_SPEC=<specs/smoke.json>
@@ -319,5 +320,32 @@ string(FIND "${err}" "--export-spec" found)
 if(NOT rc EQUAL 4 OR found EQUAL -1)
   message(FATAL_ERROR
     "an unison-spec/3 document must exit 4 with a re-export hint, "
+    "got ${rc}:\n${err}")
+endif()
+
+# A knob outside its range is corrupt input (exit 4) whose message
+# names the range -- refused at parse time, before any cache is built.
+file(WRITE ${WORK_DIR}/bad_knob.json "{
+  \"schema\": \"unison-spec/5\",
+  \"workload\": \"webserving\",
+  \"design\": {\"name\": \"unison\", \"pageBlocks\": 40},
+  \"capacityBytes\": 33554432,
+  \"accesses\": 100000,
+  \"quick\": false,
+  \"seed\": 42,
+  \"system\": {
+    \"numCores\": 4, \"cpiBase\": 2, \"maxOutstandingMisses\": 4,
+    \"warmFraction\": 0.6666666666666666, \"warmupAccesses\": 0,
+    \"perCoreAccessBudget\": 0, \"memoryBackend\": \"fast\"
+  }
+}
+")
+execute_process(
+  COMMAND ${UNISON_SIM_BIN} --spec ${WORK_DIR}/bad_knob.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "[1, 32]" found)
+if(NOT rc EQUAL 4 OR found EQUAL -1)
+  message(FATAL_ERROR
+    "unison pageBlocks 40 must exit 4 naming the range [1, 32], "
     "got ${rc}:\n${err}")
 endif()

@@ -6,10 +6,12 @@
 #  2. a repeated submit is PURE cache hits -- zero simulation,
 #     asserted on the store counters the client prints;
 #  3. `store gc` under a generous budget evicts nothing;
-#  4. a server killed with SIGKILL mid-sweep loses nothing that
+#  4. a spec with an out-of-range knob is refused (exit 4, the range
+#     in the message) and the server keeps serving;
+#  5. a server killed with SIGKILL mid-sweep loses nothing that
 #     reached the store: a restarted server completes the resubmitted
 #     sweep with >= 1 store hit and byte-identical output;
-#  5. a graceful shutdown drains and exits 0.
+#  6. a graceful shutdown drains and exits 0.
 #
 # Usage: serve_smoke.sh <unison_sim> <smoke.json> <convergence.json> <workdir>
 set -euo pipefail
@@ -65,6 +67,46 @@ cmp sub1.json sub2.json ||
 "$SIM" store gc --store store --max-bytes 1G > gc.log
 grep -q "evicted 0" gc.log ||
     fail "generous gc budget evicted objects: $(cat gc.log)"
+
+# ---------------- a bad knob is refused; the server keeps serving
+cat > bad_knob.json <<'EOF_SPEC'
+{
+  "schema": "unison-grid/1",
+  "name": "bad-knob",
+  "points": [
+    {
+      "label": "webserving/unison-40",
+      "spec": {
+        "schema": "unison-spec/5",
+        "workload": "webserving",
+        "design": {"name": "unison", "pageBlocks": 40},
+        "capacityBytes": 33554432,
+        "accesses": 150000,
+        "quick": false,
+        "seed": 42,
+        "system": {
+          "numCores": 4, "cpiBase": 2, "maxOutstandingMisses": 4,
+          "warmFraction": 0.6666666666666666, "warmupAccesses": 0,
+          "perCoreAccessBudget": 0, "memoryBackend": "fast"
+        }
+      }
+    }
+  ]
+}
+EOF_SPEC
+RC=0
+"$SIM" submit --connect sweep.sock --spec bad_knob.json \
+    --out bad_knob_out.json 2> bad_knob.log || RC=$?
+[ "$RC" -eq 4 ] ||
+    fail "out-of-range knob must exit 4, got $RC: $(cat bad_knob.log)"
+grep -q "\[1, 32\]" bad_knob.log ||
+    fail "refusal does not name the knob range: $(cat bad_knob.log)"
+"$SIM" submit --connect sweep.sock --ping >/dev/null 2>&1 ||
+    fail "server stopped answering after a refused spec"
+"$SIM" submit --connect sweep.sock --spec "$SMOKE" \
+    --out sub3.json 2> sub3.log
+cmp direct_smoke.json sub3.json ||
+    fail "submit after a refused spec differs from the direct run"
 
 # -------------------- kill -9 mid-sweep; the store keeps every point
 BEFORE=$(objects)

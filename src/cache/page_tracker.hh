@@ -36,6 +36,9 @@ class PageGroupTracker
     {
         std::uint32_t pcHash = 0;
         std::uint8_t triggerOffset = 0;
+        /** Named padding, zeroed so warm snapshots (which write this
+         *  struct as raw bytes) are deterministic. */
+        std::uint8_t pad[3] = {};
         std::uint32_t fetchedMask = 0;
         std::uint32_t touchedMask = 0;
         std::uint32_t residentMask = 0;
@@ -87,7 +90,10 @@ class PageGroupTracker
     {
         std::uint64_t page;
         PageInfo info;
+        std::uint32_t pad = 0; //!< named tail padding (see PageInfo)
     };
+    static_assert(sizeof(FlatEntry) == 32,
+                  "warm-snapshot page records keep their layout");
 
     void
     saveState(StateWriter &out) const

@@ -57,13 +57,17 @@ popCount(std::uint64_t v)
     return static_cast<std::uint32_t>(std::popcount(v));
 }
 
+/** Widest page the 32-bit block bitmaps hold: the `pageBlocks` knob
+ *  maximum of every footprint-tracking design. */
+constexpr std::uint32_t kMaxPageBlocks = 32;
+
 /** All-ones mask for a page of `page_blocks` blocks (block bitmaps are
  *  32 bits wide; 32-block pages saturate the mask). */
 constexpr std::uint32_t
 fullBlockMask(std::uint32_t page_blocks)
 {
-    return (page_blocks >= 32) ? 0xffffffffu
-                               : ((1u << page_blocks) - 1);
+    return (page_blocks >= kMaxPageBlocks) ? 0xffffffffu
+                                           : ((1u << page_blocks) - 1);
 }
 
 /**

@@ -2,6 +2,7 @@
 
 #include "sim/design_registry.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/bitops.hh"
@@ -10,9 +11,11 @@
 namespace unison {
 
 AlloyFpCache::AlloyFpCache(const AlloyFpConfig &config,
-                           MemoryBackend *offchip)
+                           MemoryBackend *offchip,
+                           BlockFpMetadata metadata)
     : DramCache(offchip, DramCacheKind::AlloyFp),
       config_(config),
+      inDram_(metadata == BlockFpMetadata::InDram),
       geometry_(AlloyGeometry::compute(config.capacityBytes)),
       pageDiv_(config.pageBlocks),
       stacked_(makeMemoryBackend(config.stackedOrg, config.stackedTiming)),
@@ -28,12 +31,12 @@ AlloyFpCache::AlloyFpCache(const AlloyFpConfig &config,
           return c;
       }())
 {
-    UNISON_ASSERT(offchip != nullptr,
-                  "AlloyFP cache needs a memory pool");
+    UNISON_ASSERT(offchip != nullptr, name(), " cache needs a memory pool");
     UNISON_ASSERT(std::has_single_bit(config_.pageBlocks),
-                  "prefetch group size must be a power of two");
-    UNISON_ASSERT(config_.pageBlocks <= 32,
-                  "footprint masks hold at most 32 blocks");
+                  "logical page size must be a power of two");
+    UNISON_ASSERT(config_.pageBlocks <= kMaxPageBlocks,
+                  "footprint masks hold at most ", kMaxPageBlocks,
+                  " blocks");
     org_.init(geometry_.numTads);
     fill_.init(offchip, &stats_);
     writeback_.init(offchip, &stats_);
@@ -43,6 +46,7 @@ void
 AlloyFpCache::resetStats()
 {
     DramCache::resetStats();
+    naiveStats_.reset();
     fetchPolicy_.resetStats();
 }
 
@@ -56,6 +60,19 @@ AlloyFpCache::locate(Addr addr) const
     loc.offset = static_cast<std::uint32_t>(off);
     org_.locate(loc.block, loc.frame, loc.tag);
     return loc;
+}
+
+Cycle
+AlloyFpCache::chargeRowScan(std::uint64_t row, Cycle start)
+{
+    // All the TAD tags in the row: 112 x 8 B. The row is typically
+    // already open (the probe just touched it), so the cost is mostly
+    // bus occupancy -- exactly the availability loss Sec. III-B.1
+    // describes.
+    const std::uint32_t bytes = geometry_.tadsPerRow * 8;
+    ++naiveStats_.rowScans;
+    naiveStats_.scanBytes += bytes;
+    return stacked_->rowAccess(row, bytes, false, start).completion;
 }
 
 void
@@ -74,15 +91,35 @@ AlloyFpCache::installBlock(const Location &loc, Cycle when)
             writeback_.writeBlock(blockAddress(victim_block),
                                   read_done);
         }
-        // The SRAM tracker knows the victim page's footprint without
-        // any row scan (the difference from naiveblockfp): when the
-        // page's last block leaves, train the predictor directly.
+        const std::uint64_t victim_page =
+            victim_block / config_.pageBlocks;
+        if (inDram_) {
+            ++naiveStats_.conflictFills;
+            const PageGroupTracker::PageInfo *victim_info =
+                pages_.find(victim_page);
+            // The victim page still had other live blocks: its
+            // footprint is being truncated mid-residency (Fig. 4a's
+            // overlap conflict).
+            if (victim_info != nullptr &&
+                popCount(victim_info->residentMask) > 1)
+                ++naiveStats_.prematureEvictions;
+        }
         PageGroupTracker::PageInfo gone;
         if (pages_.removeBlock(
-                victim_block / config_.pageBlocks,
+                victim_page,
                 static_cast<std::uint32_t>(victim_block %
                                            config_.pageBlocks),
                 gone)) {
+            // The page's last block left. In SRAM the tracker knows
+            // its footprint outright; in-DRAM the hardware would have
+            // to reconstruct it by scanning the rows that held the
+            // page's blocks. Its TAD slots are consecutive, so one
+            // scan of the covering row is charged.
+            if (inDram_)
+                chargeRowScan(
+                    geometry_.rowOfTad((victim_page * config_.pageBlocks) %
+                                       geometry_.numTads),
+                    when);
             if (gone.touchedMask != 0)
                 fetchPolicy_.trainEviction(gone.pcHash,
                                            gone.triggerOffset,
@@ -149,13 +186,20 @@ AlloyFpCache::access(const DramCacheRequest &req)
 
     ++stats_.misses;
 
+    // Telling a trigger miss from an underprediction: the SRAM tracker
+    // answers outright; with presence information spread over the row
+    // (Sec. III-B.1) every TAD tag in the row must be scanned first.
+    const Cycle classified =
+        inDram_ ? chargeRowScan(row, tad_done) : tad_done;
+
     if (pages_.tracked(loc.page)) {
-        // Blocks of this page are resident: an underprediction. The
-        // SRAM tracker classified it without the row scan the naive
-        // splice needs; fetch just the demanded block.
+        // Blocks of this page are resident: an underprediction. Fetch
+        // just the demanded block.
         ++stats_.blockMisses;
-        const Cycle mem_done = fill_.demandBlock(req.addr, tad_done);
+        const Cycle mem_done = fill_.demandBlock(req.addr, classified);
         installBlock(loc, mem_done);
+        // installBlock may have displaced this very page's tracking if
+        // the victim was a sibling; re-find before updating.
         if (PageGroupTracker::PageInfo *info = pages_.find(loc.page)) {
             info->fetchedMask |= bit;
             info->touchedMask |= bit;
@@ -169,9 +213,9 @@ AlloyFpCache::access(const DramCacheRequest &req)
     // demanded block first.
     ++stats_.pageMisses;
     const FetchDecision decision = fetchPolicy_.onTriggerMiss(
-        loc.page, req.pc, loc.offset, fullMask());
+        loc.page, req.pc, loc.offset, fullBlockMask(config_.pageBlocks));
 
-    const Cycle critical = fill_.demandBlock(req.addr, tad_done);
+    const Cycle critical = fill_.demandBlock(req.addr, classified);
 
     PageGroupTracker::PageInfo info;
     info.pcHash = static_cast<std::uint32_t>(fhtPc(req.pc));
@@ -180,6 +224,9 @@ AlloyFpCache::access(const DramCacheRequest &req)
     info.touchedMask = bit;
     info.residentMask = bit;
     pages_.insert(loc.page, info);
+    if (inDram_)
+        naiveStats_.pageInfoPeak = std::max<std::uint64_t>(
+            naiveStats_.pageInfoPeak, pages_.size());
 
     installBlock(loc, critical);
     if (PageGroupTracker::PageInfo *self = pages_.find(loc.page))
@@ -195,7 +242,7 @@ AlloyFpCache::access(const DramCacheRequest &req)
         const Location fl =
             locate(blockAddress(page_first_block + off));
         const Cycle done =
-            fill_.prefetchBlock(blockAddress(fl.block), tad_done);
+            fill_.prefetchBlock(blockAddress(fl.block), classified);
         installBlock(fl, done);
         PageGroupTracker::PageInfo *self = pages_.find(loc.page);
         if (self == nullptr)
@@ -229,7 +276,54 @@ AlloyFpCache::pageTracked(Addr addr) const
 }
 
 
-// --------------------------------------------------- registry entry
+// -------------------------------------------------- registry entries
+
+namespace {
+
+/** The registry entry both variants share: knobs (minus `fhtEntries`
+ *  for the in-DRAM splice), validation and factory; `info` arrives
+ *  with its names and the per-variant knob help already filled. */
+template <typename Cfg>
+DesignInfo
+blockFpDesignInfo(DesignInfo info, BlockFpMetadata metadata,
+                  const char *prediction_help, const char *page_help)
+{
+    info.defaults = Cfg{};
+    info.knobs = {
+        knobBool<Cfg>("footprintPrediction", prediction_help,
+                      &Cfg::footprintPredictionEnabled),
+        knobUInt<Cfg, std::uint32_t>("pageBlocks", page_help,
+                                     &Cfg::pageBlocks, 1,
+                                     kMaxPageBlocks),
+    };
+    if (metadata == BlockFpMetadata::Sram)
+        info.knobs.push_back(knobUIntFn<Cfg, std::uint32_t>(
+            "fhtEntries", "footprint history table entries",
+            [](Cfg &c) -> std::uint32_t & {
+                return c.fhtConfig.numEntries;
+            },
+            1, 1u << 24));
+    info.validate = [](const DesignVariant &v,
+                       const DesignBuildContext &) -> std::string {
+        const Cfg &c = std::get<Cfg>(v);
+        if (!isPowerOfTwo(c.pageBlocks))
+            return "pageBlocks must be a power of two, got " +
+                   std::to_string(c.pageBlocks);
+        return validateFhtShape(c.fhtConfig);
+    };
+    info.build = [metadata](const DesignVariant &v,
+                            const DesignBuildContext &ctx,
+                            MemoryBackend *offchip)
+        -> std::unique_ptr<DramCache> {
+        AlloyFpConfig cfg = std::get<Cfg>(v);
+        cfg.capacityBytes = ctx.capacityBytes;
+        cfg.stackedOrg.backend = ctx.backend;
+        return std::make_unique<AlloyFpCache>(cfg, offchip, metadata);
+    };
+    return info;
+}
+
+} // namespace
 
 DesignInfo
 alloyFpDesignInfo()
@@ -241,40 +335,26 @@ alloyFpDesignInfo()
     info.shortName = "AlloyFP";
     info.summary = "composed hybrid: direct-mapped block cache with "
                    "footprint-grouped prefetch (SRAM page tracking)";
-    info.defaults = AlloyFpConfig{};
-    info.knobs = {
-        knobBool<AlloyFpConfig>(
-            "footprintPrediction",
-            "fetch predicted footprints (false: single blocks)",
-            &AlloyFpConfig::footprintPredictionEnabled),
-        knobUInt<AlloyFpConfig>(
-            "pageBlocks",
-            "blocks per prefetch group (power of two)",
-            &AlloyFpConfig::pageBlocks, 1, 32),
-        knobUIntFn<AlloyFpConfig, std::uint32_t>(
-            "fhtEntries", "footprint history table entries",
-            [](AlloyFpConfig &c) -> std::uint32_t & {
-                return c.fhtConfig.numEntries;
-            },
-            1, 1u << 24),
-    };
-    info.validate = [](const DesignVariant &v,
-                       const DesignBuildContext &) -> std::string {
-        const AlloyFpConfig &c = std::get<AlloyFpConfig>(v);
-        if ((c.pageBlocks & (c.pageBlocks - 1)) != 0)
-            return "pageBlocks must be a power of two, got " +
-                   std::to_string(c.pageBlocks);
-        return "";
-    };
-    info.build = [](const DesignVariant &v,
-                    const DesignBuildContext &ctx,
-                    MemoryBackend *offchip) -> std::unique_ptr<DramCache> {
-        AlloyFpConfig cfg = std::get<AlloyFpConfig>(v);
-        cfg.capacityBytes = ctx.capacityBytes;
-        cfg.stackedOrg.backend = ctx.backend;
-        return std::make_unique<AlloyFpCache>(cfg, offchip);
-    };
-    return info;
+    return blockFpDesignInfo<AlloyFpConfig>(
+        std::move(info), BlockFpMetadata::Sram,
+        "fetch predicted footprints (false: single blocks)",
+        "blocks per prefetch group (power of two)");
+}
+
+DesignInfo
+naiveBlockFpDesignInfo()
+{
+    DesignInfo info;
+    info.kind = DesignKind::NaiveBlockFp;
+    info.id = "naiveblockfp";
+    info.name = "Naive block+FP";
+    info.shortName = "Block+FP";
+    info.summary = "rejected Sec. III-B.1 splice: block-based array "
+                   "with footprint prediction (row scans on misses)";
+    return blockFpDesignInfo<NaiveBlockFpConfig>(
+        std::move(info), BlockFpMetadata::InDram,
+        "fetch predicted footprints (false: degenerates to Alloy)",
+        "blocks per logical page (power of two)");
 }
 
 } // namespace unison

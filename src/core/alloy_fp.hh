@@ -1,25 +1,37 @@
 /**
  * @file
- * `alloyfp` -- the second design composed from the policy framework: a
- * direct-mapped block cache (Alloy Cache's organization) with
- * footprint-grouped prefetching.
+ * The block-footprint splice of Sec. III-B.1 (Fig. 4a): a
+ * direct-mapped block cache (Alloy Cache's organization, 72 B TAD
+ * units, 112 per 8 KB row) with footprint-grouped prefetching. Two
+ * registry designs share this one body:
  *
- * The composition is DirectOrganization + FootprintFetchPolicy +
- * PageGroupTracker + the shared fill/writeback engines. On a trigger
- * miss to a logical page, the FHT predicts the page's footprint from
- * the trigger (PC, offset) and the whole predicted group streams from
- * memory into the block frames; the SRAM-side tracker keeps the
- * page's fetched/touched/resident masks so the predictor can be
- * trained when the page's last block is evicted.
+ *  - `alloyfp` keeps the page-presence and footprint metadata in SRAM,
+ *    so the splice pays no metadata penalty;
+ *  - `naiveblockfp` is the straw man the paper rejects: the metadata
+ *    lives in the DRAM row, so classifying a read miss as a trigger
+ *    miss needs a scan of every TAD tag in the row (which the fills
+ *    then wait for), and reconstructing a page's footprint when its
+ *    last block leaves needs another scan of the covering row.
  *
- * This is the hybrid the Sec. III-B.1 straw man *wanted* to be: the
- * same block array + footprint prediction splice, but with the page
- * presence and footprint metadata held in SRAM, so none of the
- * row-scan penalties the naive design pays (compare
- * baselines/naive_block_fp.hh, which charges them). Running the two
- * side by side isolates exactly what the in-DRAM metadata placement
- * costs -- the kind of design-space point the framework exists to
- * make cheap.
+ * Where the metadata lives (BlockFpMetadata) is a constructor argument
+ * of the registry build functions, not a knob: it gates exactly the
+ * two row-scan charges and the in-DRAM counters (NaiveBlockFpStats).
+ * Running the two side by side isolates what the in-DRAM placement
+ * costs.
+ *
+ * The composition is DirectOrganization + FootprintFetchPolicy over
+ * *logical pages* (groups of neighbouring blocks) + PageGroupTracker +
+ * the shared fill/writeback engines. On a trigger miss the FHT
+ * predicts the page's footprint from the trigger (PC, offset) and the
+ * predicted group streams from memory into the block frames; the
+ * tracker keeps each page's fetched/touched/resident masks so the
+ * predictor is trained when the page's last block is evicted. In the
+ * in-DRAM variant the tracker stands in for per-page (PC, offset)
+ * metadata the hardware has no natural home for (measured in
+ * `pageInfoPeak`), and pages can only coexist in a row while their
+ * footprints are disjoint at the TAD level: a conflicting fill evicts
+ * another page's blocks one by one, truncating its footprint
+ * (`prematureEvictions`).
  */
 
 #ifndef UNISON_CORE_ALLOY_FP_HH
@@ -39,12 +51,13 @@
 
 namespace unison {
 
-/** Configuration of the composed alloy-fp hybrid. */
+/** Configuration of the block-footprint splice. */
 struct AlloyFpConfig
 {
     std::uint64_t capacityBytes = 1_GiB;
 
-    /** Blocks per logical prefetch group (power of two). */
+    /** Blocks per logical page / prefetch group (power of two, at
+     *  most kMaxPageBlocks). */
     std::uint32_t pageBlocks = 16;
 
     /** Fetch predicted footprints (false degenerates to Alloy without
@@ -57,14 +70,48 @@ struct AlloyFpConfig
     DramTimingParams stackedTiming = stackedDramTiming();
 };
 
+/** `naiveblockfp`'s configuration: the same fields, a distinct type
+ *  because DesignVariant's alternatives are indexed by DesignKind. */
+struct NaiveBlockFpConfig : AlloyFpConfig
+{
+};
+
+/** Where the page-presence and footprint metadata lives. */
+enum class BlockFpMetadata
+{
+    Sram,   //!< `alloyfp`: no metadata penalty
+    InDram, //!< `naiveblockfp`: row scans on misses and page evictions
+};
+
+/** The row-scan and conflict pathologies Sec. III-B.1 predicts, counted
+ *  by the in-DRAM variant only. (pageInfoPeak deliberately survives
+ *  reset: it measures a structural storage requirement, not a rate.) */
+#define UNISON_NAIVE_BLOCK_FP_STATS_FIELDS(X)                           \
+    X(Counter, rowScans)           /* full-row tag scans issued */      \
+    X(Counter, scanBytes)          /* stacked bytes those scans read */ \
+    X(Counter, prematureEvictions) /* pages truncated by a fill */      \
+    X(Counter, conflictFills)      /* fills displacing another page */
+
+struct NaiveBlockFpStats
+{
+    UNISON_STAT_STRUCT_BODY(UNISON_NAIVE_BLOCK_FP_STATS_FIELDS)
+
+    std::uint64_t pageInfoPeak = 0; //!< high-water mark of side-table pages
+};
+
 class AlloyFpCache final : public DramCache
 {
   public:
-    AlloyFpCache(const AlloyFpConfig &config, MemoryBackend *offchip);
+    AlloyFpCache(const AlloyFpConfig &config, MemoryBackend *offchip,
+                 BlockFpMetadata metadata);
 
     DramCacheResult access(const DramCacheRequest &req) override;
 
-    std::string name() const override { return "AlloyFP"; }
+    std::string
+    name() const override
+    {
+        return inDram_ ? "NaiveBlockFP" : "AlloyFP";
+    }
     std::uint64_t capacityBytes() const override
     {
         return config_.capacityBytes;
@@ -74,6 +121,7 @@ class AlloyFpCache final : public DramCache
 
     const AlloyFpConfig &config() const { return config_; }
     const AlloyGeometry &geometry() const { return geometry_; }
+    const NaiveBlockFpStats &naiveStats() const { return naiveStats_; }
     const FootprintHistoryTable &footprintTable() const
     {
         return fetchPolicy_.footprintTable();
@@ -84,10 +132,15 @@ class AlloyFpCache final : public DramCache
     bool blockPresent(Addr addr) const;
     bool blockDirty(Addr addr) const;
     bool pageTracked(Addr addr) const;
+    std::size_t trackedPages() const { return pages_.size(); }
     /**@}*/
 
     bool checkpointable() const override { return true; }
 
+    /** The in-DRAM variant's pageInfoPeak rides along although it lives
+     *  in the stats struct: it deliberately survives the warm-boundary
+     *  reset (a structural high-water mark), so a resumed run must
+     *  inherit it. */
     void
     saveState(StateWriter &out) const override
     {
@@ -95,6 +148,8 @@ class AlloyFpCache final : public DramCache
         stacked_->saveState(out);
         fetchPolicy_.saveState(out);
         pages_.saveState(out);
+        if (inDram_)
+            out.pod(naiveStats_.pageInfoPeak);
     }
 
     void
@@ -104,6 +159,8 @@ class AlloyFpCache final : public DramCache
         stacked_->loadState(in);
         fetchPolicy_.loadState(in);
         pages_.loadState(in);
+        if (inDram_)
+            in.pod(naiveStats_.pageInfoPeak);
     }
 
   private:
@@ -123,17 +180,16 @@ class AlloyFpCache final : public DramCache
 
     Location locate(Addr addr) const;
 
+    /** Charge one full-row tag scan to the stacked DRAM (in-DRAM
+     *  metadata only). */
+    Cycle chargeRowScan(std::uint64_t row, Cycle start);
+
     /** Install `loc`'s block, evicting the direct-mapped victim (and
      *  training the FHT when the victim page's last block leaves). */
     void installBlock(const Location &loc, Cycle when);
 
-    std::uint32_t
-    fullMask() const
-    {
-        return fullBlockMask(config_.pageBlocks);
-    }
-
     AlloyFpConfig config_;
+    bool inDram_;
     AlloyGeometry geometry_;
     /** Logical-page split (pageBlocks is a runtime power of two). */
     FastDiv64 pageDiv_;
@@ -144,6 +200,7 @@ class AlloyFpCache final : public DramCache
     PageGroupTracker pages_;
     FillEngine fill_;
     WritebackEngine writeback_;
+    NaiveBlockFpStats naiveStats_;
 };
 
 } // namespace unison

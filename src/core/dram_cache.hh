@@ -134,11 +134,10 @@ enum class DramCacheKind : std::uint8_t
     Alloy,
     Footprint,
     LohHill,
-    NaiveBlockFp,
     NaiveTaggedPage,
     Ideal,
     NoCache,
-    AlloyFp,  //!< composed: direct-mapped blocks + footprint prefetch
+    AlloyFp,  //!< alloyfp and naiveblockfp: blocks + footprint prefetch
     UnisonWp, //!< composed: Unison with pluggable way predictors
     Other, //!< out-of-tree subclass: virtual per-access dispatch
 };

@@ -27,7 +27,7 @@ unisonDesignInfo()
     info.knobs = {
         knobUInt<UnisonConfig>(
             "pageBlocks", "blocks per page (15 = 960B, 31 = 1984B)",
-            &UnisonConfig::pageBlocks, 1, 63),
+            &UnisonConfig::pageBlocks, 1, kMaxPageBlocks),
         knobUInt<UnisonConfig>("assoc", "set associativity",
                                &UnisonConfig::assoc, 1, 32),
         knobEnum<UnisonConfig>(
@@ -86,17 +86,8 @@ unisonDesignInfo()
 std::string
 validateUnisonKnobs(const UnisonConfig &c)
 {
-    if (c.fhtConfig.numEntries % c.fhtConfig.assoc != 0)
-        return "fhtEntries (" +
-               std::to_string(c.fhtConfig.numEntries) +
-               ") must be a multiple of fhtAssoc (" +
-               std::to_string(c.fhtConfig.assoc) + ")";
-    const std::uint32_t sets =
-        c.fhtConfig.numEntries / c.fhtConfig.assoc;
-    if ((sets & (sets - 1)) != 0)
-        return "fhtEntries/fhtAssoc must be a power of two "
-               "(FHT set count), got " +
-               std::to_string(sets) + " sets";
+    if (std::string fht = validateFhtShape(c.fhtConfig); !fht.empty())
+        return fht;
     if (c.wayPredictorIndexBits != 0 &&
         c.wayPredictorIndexBits < 4)
         return "wayPredictorIndexBits must be 0 (auto) or >= 4";

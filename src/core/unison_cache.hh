@@ -338,7 +338,7 @@ UnisonCacheT<WayPolicyT, ConfigT>::UnisonCacheT(const ConfigT &config,
       }())
 {
     UNISON_ASSERT(offchip != nullptr, "Unison Cache needs a memory pool");
-    UNISON_ASSERT(config_.pageBlocks <= 32,
+    UNISON_ASSERT(config_.pageBlocks <= kMaxPageBlocks,
                   "page masks are 32 bits wide; pageBlocks = ",
                   config_.pageBlocks);
     if (config_.missPolicy == UnisonMissPolicy::MapI) {

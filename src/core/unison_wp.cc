@@ -33,7 +33,7 @@ unisonWpDesignInfo()
              {"static0", UnisonWayPredictorKind::Static0}}),
         knobUInt<UnisonWpConfig, std::uint32_t>(
             "pageBlocks", "blocks per page (15 = 960B, 31 = 1984B)",
-            &UnisonWpConfig::pageBlocks, 1, 63),
+            &UnisonWpConfig::pageBlocks, 1, kMaxPageBlocks),
         knobUInt<UnisonWpConfig, std::uint32_t>(
             "assoc", "set associativity", &UnisonWpConfig::assoc, 1,
             32),

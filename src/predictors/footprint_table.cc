@@ -5,16 +5,29 @@
 
 namespace unison {
 
+std::string
+validateFhtShape(const FootprintTableConfig &c)
+{
+    if (c.numEntries % c.assoc != 0)
+        return "fhtEntries (" + std::to_string(c.numEntries) +
+               ") must be a multiple of fhtAssoc (" +
+               std::to_string(c.assoc) + ")";
+    const std::uint32_t sets = c.numEntries / c.assoc;
+    if (!isPowerOfTwo(sets))
+        return "fhtEntries/fhtAssoc must be a power of two "
+               "(FHT set count), got " +
+               std::to_string(sets) + " sets";
+    return "";
+}
+
 FootprintHistoryTable::FootprintHistoryTable(
     const FootprintTableConfig &config)
     : config_(config)
 {
     UNISON_ASSERT(config_.assoc >= 1, "FHT assoc must be >= 1");
-    UNISON_ASSERT(config_.numEntries % config_.assoc == 0,
-                  "FHT entries not divisible by assoc");
+    const std::string shape = validateFhtShape(config_);
+    UNISON_ASSERT(shape.empty(), "FHT shape: ", shape);
     numSets_ = config_.numEntries / config_.assoc;
-    UNISON_ASSERT(isPowerOfTwo(numSets_),
-                  "FHT set count must be a power of two, got ", numSets_);
     UNISON_ASSERT(config_.maxBlocksPerPage <= 64,
                   "footprint masks wider than 64 blocks unsupported");
     UNISON_ASSERT(config_.tagBits <= 31,

@@ -18,6 +18,7 @@
 #define UNISON_PREDICTORS_FOOTPRINT_TABLE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/state_io.hh"
@@ -36,6 +37,11 @@ struct FootprintTableConfig
     /** Widest footprint bit vector stored (blocks per page). */
     std::uint32_t maxBlocksPerPage = 32;
 };
+
+/** "" when the FHT can be built from `config` (entries divisible by
+ *  assoc, a power-of-two set count), else an actionable message; the
+ *  shared check of every registry design with FHT knobs. */
+std::string validateFhtShape(const FootprintTableConfig &config);
 
 /** FHT statistics. */
 struct FootprintTableStats

@@ -39,7 +39,6 @@
 #include "baselines/footprint_cache.hh"
 #include "baselines/ideal_cache.hh"
 #include "baselines/lohhill_cache.hh"
-#include "baselines/naive_block_fp.hh"
 #include "baselines/naive_tagged_page.hh"
 #include "baselines/no_cache.hh"
 #include "common/json.hh"
@@ -234,7 +233,7 @@ DesignInfo unisonDesignInfo();          // src/core/unison_cache.cc
 DesignInfo alloyDesignInfo();           // src/baselines/alloy_cache.cc
 DesignInfo footprintDesignInfo();       // src/baselines/footprint_cache.cc
 DesignInfo lohHillDesignInfo();         // src/baselines/lohhill_cache.cc
-DesignInfo naiveBlockFpDesignInfo();    // src/baselines/naive_block_fp.cc
+DesignInfo naiveBlockFpDesignInfo();    // src/core/alloy_fp.cc
 DesignInfo naiveTaggedPageDesignInfo(); // src/baselines/naive_tagged_page.cc
 DesignInfo idealDesignInfo();           // src/baselines/simple_designs.cc
 DesignInfo noCacheDesignInfo();         // src/baselines/simple_designs.cc

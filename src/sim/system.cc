@@ -10,7 +10,6 @@
 #include "baselines/footprint_cache.hh"
 #include "baselines/ideal_cache.hh"
 #include "baselines/lohhill_cache.hh"
-#include "baselines/naive_block_fp.hh"
 #include "baselines/naive_tagged_page.hh"
 #include "baselines/no_cache.hh"
 #include "core/alloy_fp.hh"
@@ -129,9 +128,6 @@ System::dispatchCache(Source &source, std::uint64_t total_accesses)
                        total_accesses);
       case DramCacheKind::LohHill:
         return runLoop(source, static_cast<LohHillCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::NaiveBlockFp:
-        return runLoop(source, static_cast<NaiveBlockFpCache &>(cache),
                        total_accesses);
       case DramCacheKind::NaiveTaggedPage:
         return runLoop(source,

@@ -12,6 +12,7 @@
 
 #include <cctype>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -315,6 +316,105 @@ TEST(DesignGolden, BitIdenticalMixedWorkload)
     spec.mix = parseMixSpec("webserving:8,chase:4,scan:4");
     const SimResult r = runExperiment(spec);
     expectGolden(r, g);
+}
+
+// ------------------------------------------ knob ranges are buildable
+
+/** The values of `knob` worth probing: a uint knob's minimum and
+ *  maximum (read back from its printed "[lo, hi]" range), every enum
+ *  value, both bools. */
+std::vector<json::Value>
+knobExtremes(const DesignKnob &knob)
+{
+    std::vector<json::Value> values;
+    if (knob.type == "bool") {
+        values = {json::Value(false), json::Value(true)};
+    } else if (knob.type == "uint") {
+        std::istringstream range(knob.range);
+        char open = 0, comma = 0;
+        std::uint64_t lo = 0, hi = 0;
+        range >> open >> lo >> comma >> hi;
+        values.push_back(json::Value(lo));
+        // Table-size maxima allocate hundreds of MB (a 2^24-entry FHT,
+        // a 2^24-entry way predictor): too big for a unit test, and no
+        // fixed-width mask bounds them.
+        if (knob.key != "fhtEntries" && knob.key != "wayPredictorIndexBits")
+            values.push_back(json::Value(hi));
+    } else {
+        std::istringstream names(knob.range);
+        std::string name;
+        while (std::getline(names >> std::ws, name, ','))
+            values.push_back(json::Value(name));
+    }
+    return values;
+}
+
+/** A knob value the registry accepts must build: either the setter or
+ *  validationError() refuses it, or the cache builds at 64 MiB and
+ *  serves a read. Returns the refusal message ("" when it built). */
+std::string
+refusedOrBuilds(const DesignInfo &info, const std::string &key,
+                const json::Value &value)
+{
+    ExperimentSpec spec;
+    spec.design = info.kind;
+    spec.capacityBytes = 64_MiB;
+    for (const DesignKnob &knob : info.knobs) {
+        if (knob.key != key)
+            continue;
+        try {
+            knob.set(spec.design.variant(), value);
+        } catch (const json::Error &e) {
+            return e.what();
+        }
+    }
+    if (std::string error = spec.validationError(); !error.empty())
+        return error;
+    DramModule offchip{offChipDramOrganization(), offChipDramTiming()};
+    std::unique_ptr<DramCache> cache = makeCacheFactory(spec)(&offchip);
+    DramCacheRequest req;
+    req.addr = blockAddress(1000);
+    req.cycle = 100;
+    EXPECT_GE(cache->access(req).doneAt, req.cycle);
+    return "";
+}
+
+TEST(DesignKnobs, EveryAcceptedExtremeBuilds)
+{
+    int built = 0, refused = 0;
+    for (const DesignInfo &info : DesignRegistry::instance().all()) {
+        for (const DesignKnob &knob : info.knobs) {
+            for (const json::Value &value : knobExtremes(knob)) {
+                SCOPED_TRACE(info.id + "." + knob.key + " = " +
+                             json::writeCompact(value));
+                ++(refusedOrBuilds(info, knob.key, value).empty()
+                       ? built
+                       : refused);
+            }
+        }
+    }
+    // The range parse found values on both sides of the line (e.g.
+    // fhtAssoc 1 leaves a non-power-of-two FHT set count).
+    EXPECT_GT(built, 40);
+    EXPECT_GT(refused, 0);
+}
+
+TEST(DesignKnobs, RefusedValuesNameTheProblem)
+{
+    const DesignRegistry &registry = DesignRegistry::instance();
+    // An FHT of 3 entries cannot be split into power-of-two sets of
+    // the default associativity.
+    EXPECT_NE(refusedOrBuilds(registry.byId("alloyfp"), "fhtEntries",
+                              json::Value(3u))
+                  .find("must be a multiple of fhtAssoc"),
+              std::string::npos);
+    // Page masks are 32 bits wide in every footprint-tracking design.
+    for (const char *id : {"unison", "unisonwp", "alloyfp", "naiveblockfp"})
+        EXPECT_NE(refusedOrBuilds(registry.byId(id), "pageBlocks",
+                                  json::Value(40u))
+                      .find("[1, 32]"),
+                  std::string::npos)
+            << id;
 }
 
 INSTANTIATE_TEST_SUITE_P(

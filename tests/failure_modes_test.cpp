@@ -10,10 +10,10 @@
 
 #include <memory>
 
-#include "baselines/naive_block_fp.hh"
 #include "baselines/naive_tagged_page.hh"
 #include "common/argparse.hh"
 #include "common/residue.hh"
+#include "core/alloy_fp.hh"
 #include "core/conflict_model.hh"
 #include "core/geometry.hh"
 #include "core/unison_cache.hh"
@@ -83,7 +83,8 @@ TEST(FailureModes, NaiveBlockFpRejectsNonPowerOfTwoPages)
     NaiveBlockFpConfig cfg;
     cfg.capacityBytes = 128_MiB;
     cfg.pageBlocks = 15; // the point of that design needs 2^n grouping
-    EXPECT_DEATH(NaiveBlockFpCache(cfg, &offchip), "power of two");
+    EXPECT_DEATH(AlloyFpCache(cfg, &offchip, BlockFpMetadata::InDram),
+                 "power of two");
 }
 
 TEST(FailureModes, NaiveTaggedPageRejectsRaggedCapacity)

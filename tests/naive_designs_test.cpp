@@ -12,29 +12,34 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
-#include "baselines/naive_block_fp.hh"
 #include "baselines/naive_tagged_page.hh"
+#include "core/alloy_fp.hh"
 #include "dram/dram.hh"
 
 namespace unison {
 namespace {
 
 // ---------------------------------------------------------------------
-// Block-based cache with footprint prediction (Fig. 4a)
+// Block-based cache with footprint prediction (Fig. 4a). One body
+// serves both metadata placements: the behaviour the splice itself
+// defines is checked on both, the row-scan pathologies on the in-DRAM
+// straw man only.
 // ---------------------------------------------------------------------
 
 struct BlockFpRig
 {
     DramModule offchip{offChipDramOrganization(), offChipDramTiming()};
-    std::unique_ptr<NaiveBlockFpCache> cache;
+    std::unique_ptr<AlloyFpCache> cache;
     Cycle clock = 0;
 
-    explicit BlockFpRig(std::uint64_t capacity = 1_MiB)
+    explicit BlockFpRig(BlockFpMetadata metadata = BlockFpMetadata::InDram,
+                        std::uint64_t capacity = 1_MiB)
     {
-        NaiveBlockFpConfig cfg;
+        AlloyFpConfig cfg;
         cfg.capacityBytes = capacity;
-        cache = std::make_unique<NaiveBlockFpCache>(cfg, &offchip);
+        cache = std::make_unique<AlloyFpCache>(cfg, &offchip, metadata);
     }
 
     DramCacheResult
@@ -56,9 +61,15 @@ struct BlockFpRig
     }
 };
 
-TEST(NaiveBlockFp, FirstAccessIsTriggerMiss)
+/** The shared splice behaviour, run on both metadata placements. */
+class BlockFp : public ::testing::TestWithParam<BlockFpMetadata>
 {
-    BlockFpRig rig;
+  protected:
+    BlockFpRig rig{GetParam()};
+};
+
+TEST_P(BlockFp, FirstAccessIsTriggerMiss)
+{
     const auto r = rig.access(100);
     EXPECT_FALSE(r.hit);
     EXPECT_EQ(rig.cache->stats().pageMisses.value(), 1u);
@@ -66,11 +77,10 @@ TEST(NaiveBlockFp, FirstAccessIsTriggerMiss)
     EXPECT_TRUE(rig.cache->pageTracked(blockAddress(100)));
 }
 
-TEST(NaiveBlockFp, ColdTriggerFetchesWholeLogicalPage)
+TEST_P(BlockFp, ColdTriggerFetchesWholeLogicalPage)
 {
     // No trained footprint: the default prediction is the full page,
     // so 16 blocks come in (1 demand + 15 prefetch).
-    BlockFpRig rig;
     rig.access(100);
     EXPECT_EQ(rig.cache->stats().offchipDemandBlocks.value(), 1u);
     EXPECT_EQ(rig.cache->stats().offchipPrefetchBlocks.value(), 15u);
@@ -80,9 +90,8 @@ TEST(NaiveBlockFp, ColdTriggerFetchesWholeLogicalPage)
         EXPECT_TRUE(rig.cache->blockPresent(blockAddress(b)));
 }
 
-TEST(NaiveBlockFp, MissToTrackedPageIsBlockMissNotTrigger)
+TEST_P(BlockFp, MissToTrackedPageIsBlockMissNotTrigger)
 {
-    BlockFpRig rig;
     const Pc pc = 0x55;
     // Train a sparse footprint {4, 6} for this trigger (blocks 100 and
     // 102 of the 16-block page starting at 96).
@@ -102,6 +111,85 @@ TEST(NaiveBlockFp, MissToTrackedPageIsBlockMissNotTrigger)
     EXPECT_EQ(rig.cache->stats().blockMisses.value(), 1u);
     EXPECT_TRUE(rig.cache->blockPresent(blockAddress(101)));
 }
+
+TEST_P(BlockFp, FootprintLearnedAcrossGenerations)
+{
+    const Pc pc = 0x1234;
+    // Generation 1: touch blocks 100 and 102 only.
+    rig.access(100, false, pc);
+    rig.access(102, false, pc);
+    // Evict the whole page via conflicts so the FHT learns {0,4,6}...
+    // touched offsets within the page (100 % 16 = 4, 102 % 16 = 6).
+    for (std::uint64_t b = (100 / 16) * 16; b < (100 / 16) * 16 + 16; ++b)
+        rig.access(rig.conflicting(b, 1), false, 0x9999);
+    EXPECT_FALSE(rig.cache->pageTracked(blockAddress(100)));
+    // Generation 2: same trigger (PC, offset) -> only the learned
+    // footprint is fetched, not the whole page.
+    const auto prefetch0 =
+        rig.cache->stats().offchipPrefetchBlocks.value();
+    rig.access(100, false, pc);
+    const auto prefetched =
+        rig.cache->stats().offchipPrefetchBlocks.value() - prefetch0;
+    EXPECT_EQ(prefetched, 1u); // just block 102 beyond the demand
+    EXPECT_TRUE(rig.cache->blockPresent(blockAddress(102)));
+    EXPECT_FALSE(rig.cache->blockPresent(blockAddress(101)));
+}
+
+TEST_P(BlockFp, WriteMissDoesNotAllocate)
+{
+    const auto r = rig.access(200, true);
+    EXPECT_FALSE(r.hit);
+    EXPECT_FALSE(rig.cache->blockPresent(blockAddress(200)));
+    EXPECT_EQ(rig.cache->stats().offchipWritebackBlocks.value(), 1u);
+}
+
+TEST_P(BlockFp, WriteHitDirtiesAndWritesBackOnEviction)
+{
+    rig.access(100);
+    rig.access(100, true);
+    EXPECT_TRUE(rig.cache->blockDirty(blockAddress(100)));
+    const auto wb0 = rig.cache->stats().offchipWritebackBlocks.value();
+    rig.access(rig.conflicting(100, 1)); // evicts the dirty block
+    EXPECT_GT(rig.cache->stats().offchipWritebackBlocks.value(), wb0);
+}
+
+TEST_P(BlockFp, ResetStatsKeepsModelState)
+{
+    rig.access(100);
+    rig.cache->resetStats();
+    EXPECT_EQ(rig.cache->stats().reads.value(), 0u);
+    EXPECT_TRUE(rig.cache->blockPresent(blockAddress(100)));
+    const auto r = rig.access(100);
+    EXPECT_TRUE(r.hit);
+}
+
+TEST_P(BlockFp, RowScansOnlyWithInDramMetadata)
+{
+    // A trigger miss, a hit, and a conflicting page whose fills evict
+    // the first page block by block.
+    rig.access(100);
+    rig.access(100);
+    rig.access(rig.conflicting(100, 1));
+    const auto &ns = rig.cache->naiveStats();
+    if (GetParam() == BlockFpMetadata::Sram) {
+        EXPECT_EQ(ns.rowScans.value(), 0u);
+        EXPECT_EQ(ns.scanBytes.value(), 0u);
+        EXPECT_EQ(rig.cache->name(), "AlloyFP");
+    } else {
+        // Two miss scans, plus the covering-row scan when the first
+        // page's last block leaves.
+        EXPECT_EQ(ns.rowScans.value(), 3u);
+        EXPECT_EQ(rig.cache->name(), "NaiveBlockFP");
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothMetadataPlacements, BlockFp,
+    ::testing::Values(BlockFpMetadata::Sram, BlockFpMetadata::InDram),
+    [](const ::testing::TestParamInfo<BlockFpMetadata> &info) {
+        return info.param == BlockFpMetadata::Sram ? std::string("Sram")
+                                                   : std::string("InDram");
+    });
 
 TEST(NaiveBlockFp, EveryReadMissChargesARowScan)
 {
@@ -136,50 +224,6 @@ TEST(NaiveBlockFp, ConflictingFillTruncatesVictimPage)
     EXPECT_FALSE(rig.cache->pageTracked(blockAddress(100)));
 }
 
-TEST(NaiveBlockFp, FootprintLearnedAcrossGenerations)
-{
-    BlockFpRig rig;
-    const Pc pc = 0x1234;
-    // Generation 1: touch blocks 100 and 102 only.
-    rig.access(100, false, pc);
-    rig.access(102, false, pc);
-    // Evict the whole page via conflicts so the FHT learns {0,4,6}...
-    // touched offsets within the page (100 % 16 = 4, 102 % 16 = 6).
-    for (std::uint64_t b = (100 / 16) * 16; b < (100 / 16) * 16 + 16; ++b)
-        rig.access(rig.conflicting(b, 1), false, 0x9999);
-    EXPECT_FALSE(rig.cache->pageTracked(blockAddress(100)));
-    // Generation 2: same trigger (PC, offset) -> only the learned
-    // footprint is fetched, not the whole page.
-    const auto prefetch0 =
-        rig.cache->stats().offchipPrefetchBlocks.value();
-    rig.access(100, false, pc);
-    const auto prefetched =
-        rig.cache->stats().offchipPrefetchBlocks.value() - prefetch0;
-    EXPECT_EQ(prefetched, 1u); // just block 102 beyond the demand
-    EXPECT_TRUE(rig.cache->blockPresent(blockAddress(102)));
-    EXPECT_FALSE(rig.cache->blockPresent(blockAddress(101)));
-}
-
-TEST(NaiveBlockFp, WriteMissDoesNotAllocate)
-{
-    BlockFpRig rig;
-    const auto r = rig.access(200, true);
-    EXPECT_FALSE(r.hit);
-    EXPECT_FALSE(rig.cache->blockPresent(blockAddress(200)));
-    EXPECT_EQ(rig.cache->stats().offchipWritebackBlocks.value(), 1u);
-}
-
-TEST(NaiveBlockFp, WriteHitDirtiesAndWritesBackOnEviction)
-{
-    BlockFpRig rig;
-    rig.access(100);
-    rig.access(100, true);
-    EXPECT_TRUE(rig.cache->blockDirty(blockAddress(100)));
-    const auto wb0 = rig.cache->stats().offchipWritebackBlocks.value();
-    rig.access(rig.conflicting(100, 1)); // evicts the dirty block
-    EXPECT_GT(rig.cache->stats().offchipWritebackBlocks.value(), wb0);
-}
-
 TEST(NaiveBlockFp, SideTableHighWaterMarkTracksStructuralCost)
 {
     BlockFpRig rig;
@@ -187,17 +231,6 @@ TEST(NaiveBlockFp, SideTableHighWaterMarkTracksStructuralCost)
         rig.access(p * 16);
     EXPECT_GE(rig.cache->naiveStats().pageInfoPeak, 8u);
     EXPECT_EQ(rig.cache->trackedPages(), 8u);
-}
-
-TEST(NaiveBlockFp, ResetStatsKeepsModelState)
-{
-    BlockFpRig rig;
-    rig.access(100);
-    rig.cache->resetStats();
-    EXPECT_EQ(rig.cache->stats().reads.value(), 0u);
-    EXPECT_TRUE(rig.cache->blockPresent(blockAddress(100)));
-    const auto r = rig.access(100);
-    EXPECT_TRUE(r.hit);
 }
 
 // ---------------------------------------------------------------------
