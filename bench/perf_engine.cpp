@@ -4,14 +4,14 @@
  * second the engine sustains, per design, plus trace-replay speed, an
  * 8-core multiprogrammed mix, the datacenter-scale ycsb-kv arms (4/64/256 cores with a resident-set
  * proxy), the convergence grid with and without warm-checkpoint
- * grouping, and the wall-clock of a figure-style sweep at a given
- * --threads count.
+ * grouping, the wall-clock of a figure-style sweep at a given
+ * --threads count, and the set-up time of a 1 GB System per design.
  *
  * This is the repo's performance regression guard. Timings on a shared
  * (CI) host drift by several percent between measurement windows, so
- * single back-to-back readings systematically mislead: the engine and
- * replay sections run an odd number of *interleaved* repeats (design
- * A, B, C, D, then A again ...) and report per-design medians, which
+ * single back-to-back readings systematically mislead: the engine,
+ * replay and set-up sections run an odd number of *interleaved*
+ * repeats (design A, B, C, D, then A again ...) and report medians, which
  * cancels slow drift and rejects one-off spikes. --json emits the
  * numbers machine-readably, stamped with the host they came from, and
  * --out additionally writes them to a file so CI can track the
@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -425,6 +426,33 @@ main(int argc, char **argv)
                      ckpt_cold.seconds.back());
     }
 
+    // --- Set-up: building the System of a 1 GB point, whose tag, LRU
+    // --- and predictor arrays grow with the capacity (destroyed
+    // --- untimed), interleaved across designs --------------------------
+    const DesignKind setup_designs[] = {DesignKind::Alloy,
+                                        DesignKind::Unison,
+                                        DesignKind::Footprint};
+    std::vector<Measurement> setup;
+    for (DesignKind d : setup_designs) {
+        Measurement m;
+        m.name = designName(d);
+        setup.push_back(m);
+    }
+    for (std::int64_t rep = 0; rep < repeats; ++rep) {
+        for (std::size_t di = 0; di < setup.size(); ++di) {
+            ExperimentSpec spec;
+            spec.design = setup_designs[di];
+            spec.capacityBytes = 1_GiB;
+            const auto t0 = Clock::now();
+            auto system = std::make_unique<System>(
+                spec.system, makeCacheFactory(spec));
+            setup[di].seconds.push_back(secondsSince(t0));
+        }
+    }
+    for (const Measurement &m : setup)
+        std::fprintf(stderr, "perf_engine: %s 1 GB set-up median %.1f ms\n",
+                     m.name.c_str(), 1e3 * m.medianSeconds());
+
     // --- Report -------------------------------------------------------
     // Schema-stable JSON (tracked as BENCH_engine.json at the repo
     // root): add fields if needed; removing or renaming one bumps the
@@ -502,10 +530,20 @@ main(int argc, char **argv)
             ckpt_cold.medianSeconds(), ckpt_cold.rate());
     appendf(report,
             "  \"sweep\": {\"experiments\": %zu, \"accesses\": %llu, "
-            "\"seconds\": %.6f, \"accesses_per_sec\": %.0f}\n}\n",
+            "\"seconds\": %.6f, \"accesses_per_sec\": %.0f},\n",
             sweep_experiments,
             static_cast<unsigned long long>(sweep.accesses),
             sweep.medianSeconds(), sweep.rate());
+    report += "  \"setup\": [\n";
+    for (std::size_t i = 0; i < setup.size(); ++i)
+        appendf(report,
+                "    {\"design\": \"%s\", \"capacity_bytes\": %llu, "
+                "\"seconds\": %.6f}%s\n",
+                setup[i].name.c_str(),
+                static_cast<unsigned long long>(1_GiB),
+                setup[i].medianSeconds(),
+                i + 1 < setup.size() ? "," : "");
+    report += "  ]\n}\n";
 
     if (!out_path.empty()) {
         // Status-checked write: a full disk must not leave CI
@@ -575,6 +613,13 @@ main(int argc, char **argv)
     t.add(sweep.accesses);
     t.add(sweep.medianSeconds(), 3);
     t.add(sweep.rate(), 0);
+    for (const Measurement &m : setup) {
+        t.beginRow();
+        t.add(m.name + " set-up (1 GB)");
+        t.add("-");
+        t.add(m.medianSeconds(), 3);
+        t.add("-");
+    }
     std::printf("\n== Engine throughput (median of %lld interleaved "
                 "repeats) ==\n",
                 static_cast<long long>(repeats));

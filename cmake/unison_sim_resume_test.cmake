@@ -12,10 +12,10 @@
 #     warm hit, no leader run, no new snapshot), and a corrupt warm
 #     object (read-corrupt injection) is rejected with a structured
 #     warning and falls back to a cold warm-up, byte-identically;
-#  4. the classified exit codes hold: 2 for usage errors, 3 for I/O, 4
-#     for corrupt input (including a spec in a retired schema version
-#     and a knob outside its range), 1 for an option the build no
-#     longer has.
+#  4. the classified exit codes hold: 2 for usage errors (including a
+#     spec the design's validation refuses), 3 for I/O, 4 for corrupt
+#     input (including a spec in a retired schema version and a knob
+#     outside its range), 1 for an option the build no longer has.
 #
 # Invoked as:
 #   cmake -DUNISON_SIM_BIN=<path> -DSMOKE_SPEC=<specs/smoke.json>
@@ -347,5 +347,33 @@ string(FIND "${err}" "[1, 32]" found)
 if(NOT rc EQUAL 4 OR found EQUAL -1)
   message(FATAL_ERROR
     "unison pageBlocks 40 must exit 4 naming the range [1, 32], "
+    "got ${rc}:\n${err}")
+endif()
+
+# A spec every knob range accepts but the design's own validation
+# refuses (an FHT shape with a fractional set count) is a usage error
+# (exit 2) naming the knob -- the class `submit` reports for it too.
+file(WRITE ${WORK_DIR}/bad_fht.json "{
+  \"schema\": \"unison-spec/5\",
+  \"workload\": \"webserving\",
+  \"design\": {\"name\": \"alloyfp\", \"fhtEntries\": 3},
+  \"capacityBytes\": 33554432,
+  \"accesses\": 100000,
+  \"quick\": false,
+  \"seed\": 42,
+  \"system\": {
+    \"numCores\": 4, \"cpiBase\": 2, \"maxOutstandingMisses\": 4,
+    \"warmFraction\": 0.6666666666666666, \"warmupAccesses\": 0,
+    \"perCoreAccessBudget\": 0, \"memoryBackend\": \"fast\"
+  }
+}
+")
+execute_process(
+  COMMAND ${UNISON_SIM_BIN} --spec ${WORK_DIR}/bad_fht.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "fhtEntries" found)
+if(NOT rc EQUAL 2 OR found EQUAL -1)
+  message(FATAL_ERROR
+    "alloyfp fhtEntries 3 must exit 2 (usage) naming fhtEntries, "
     "got ${rc}:\n${err}")
 endif()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare a fresh perf_engine JSON report against the committed
 trajectory (BENCH_engine.json) and emit non-fatal warnings for >20%
-throughput regressions.
+regressions: throughput that falls, or 1 GB set-up time that rises.
 
 Usage: perf_check.py BASELINE.json CURRENT.json
 
@@ -54,6 +54,41 @@ def rates(report):
     return out
 
 
+def setup_seconds(report):
+    # perf_engine/6 addition: median seconds to build a 1 GB System,
+    # per design. Lower is better.
+    return {
+        "setup/" + entry["design"]: entry["seconds"]
+        for entry in report.get("setup", [])
+    }
+
+
+def compare(base, cur, unit, fmt, higher_is_better):
+    """Print one line per key both reports have; warn on, and count,
+    the ones more than THRESHOLD worse."""
+    regressions = 0
+    for key, base_value in sorted(base.items()):
+        cur_value = cur.get(key)
+        if cur_value is None or base_value <= 0:
+            continue
+        change = cur_value / base_value - 1.0
+        worse = -change if higher_is_better else change
+        marker = ""
+        if worse > THRESHOLD:
+            regressions += 1
+            marker = "  <-- REGRESSION"
+            print(
+                f"::warning::perf_engine {key}: "
+                f"{cur_value:{fmt}} {unit} vs committed "
+                f"{base_value:{fmt}} ({change:+.1%})"
+            )
+        print(
+            f"{key:30s} committed {base_value:>14{fmt}}  "
+            f"current {cur_value:>14{fmt}}  {change:+7.1%}{marker}"
+        )
+    return regressions
+
+
 def main():
     if len(sys.argv) != 3:
         print(f"usage: {sys.argv[0]} BASELINE.json CURRENT.json")
@@ -80,27 +115,12 @@ def main():
         print(f"  current host:   {json.dumps(cur_host)}")
         return 0
 
-    base, cur = rates(base_report), rates(cur_report)
-
-    regressions = 0
-    for key, base_rate in sorted(base.items()):
-        cur_rate = cur.get(key)
-        if cur_rate is None or base_rate <= 0:
-            continue
-        ratio = cur_rate / base_rate
-        marker = ""
-        if ratio < 1.0 - THRESHOLD:
-            regressions += 1
-            marker = "  <-- REGRESSION"
-            print(
-                f"::warning::perf_engine {key}: "
-                f"{cur_rate:,.0f} acc/s vs committed "
-                f"{base_rate:,.0f} ({ratio - 1.0:+.1%})"
-            )
-        print(
-            f"{key:30s} committed {base_rate:14,.0f}  "
-            f"current {cur_rate:14,.0f}  {ratio - 1.0:+7.1%}{marker}"
-        )
+    regressions = compare(
+        rates(base_report), rates(cur_report), "acc/s", ",.0f", True
+    ) + compare(
+        setup_seconds(base_report), setup_seconds(cur_report), "s",
+        ".4f", False,
+    )
 
     if regressions == 0:
         print("perf_check: no >20% regressions vs committed trajectory")

@@ -7,7 +7,9 @@
 #     asserted on the store counters the client prints;
 #  3. `store gc` under a generous budget evicts nothing;
 #  4. a spec with an out-of-range knob is refused (exit 4, the range
-#     in the message) and the server keeps serving;
+#     in the message), one the design's validation refuses is a usage
+#     error (exit 2, the knob in the message), and the server keeps
+#     serving;
 #  5. a server killed with SIGKILL mid-sweep loses nothing that
 #     reached the store: a restarted server completes the resubmitted
 #     sweep with >= 1 store hit and byte-identical output;
@@ -103,6 +105,40 @@ grep -q "\[1, 32\]" bad_knob.log ||
     fail "refusal does not name the knob range: $(cat bad_knob.log)"
 "$SIM" submit --connect sweep.sock --ping >/dev/null 2>&1 ||
     fail "server stopped answering after a refused spec"
+cat > bad_fht.json <<'EOF_SPEC'
+{
+  "schema": "unison-grid/1",
+  "name": "bad-fht",
+  "points": [
+    {
+      "label": "webserving/alloyfp-fht3",
+      "spec": {
+        "schema": "unison-spec/5",
+        "workload": "webserving",
+        "design": {"name": "alloyfp", "fhtEntries": 3},
+        "capacityBytes": 33554432,
+        "accesses": 150000,
+        "quick": false,
+        "seed": 42,
+        "system": {
+          "numCores": 4, "cpiBase": 2, "maxOutstandingMisses": 4,
+          "warmFraction": 0.6666666666666666, "warmupAccesses": 0,
+          "perCoreAccessBudget": 0, "memoryBackend": "fast"
+        }
+      }
+    }
+  ]
+}
+EOF_SPEC
+RC=0
+"$SIM" submit --connect sweep.sock --spec bad_fht.json \
+    --out bad_fht_out.json 2> bad_fht.log || RC=$?
+[ "$RC" -eq 2 ] ||
+    fail "spec failing validation must exit 2, got $RC: $(cat bad_fht.log)"
+grep -q "fhtEntries" bad_fht.log ||
+    fail "refusal does not name fhtEntries: $(cat bad_fht.log)"
+"$SIM" submit --connect sweep.sock --ping >/dev/null 2>&1 ||
+    fail "server stopped answering after a spec failing validation"
 "$SIM" submit --connect sweep.sock --spec "$SMOKE" \
     --out sub3.json 2> sub3.log
 cmp direct_smoke.json sub3.json ||

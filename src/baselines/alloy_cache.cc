@@ -37,9 +37,8 @@ AlloyCache::access(const DramCacheRequest &req)
     std::uint64_t tad_idx;
     std::uint64_t tag;
     org_.locate(blockNumber(req.addr), tad_idx, tag);
-    std::uint64_t &tad = org_.word(tad_idx);
     const std::uint64_t row = geometry_.rowOfTad(tad_idx);
-    const bool hit = (tad & ~kDirty) == (kValid | tag);
+    const bool hit = org_.present(tad_idx, tag);
 
     DramCacheResult result;
     result.hit = hit;
@@ -51,7 +50,7 @@ AlloyCache::access(const DramCacheRequest &req)
             stacked_->rowAccess(row, 8, false, req.cycle).completion;
         if (hit) {
             ++stats_.hits;
-            tad |= kDirty;
+            org_.markDirty(tad_idx);
             result.doneAt =
                 stacked_->rowAccess(row, kBlockBytes, true, tag_done)
                     .completion;
@@ -59,9 +58,9 @@ AlloyCache::access(const DramCacheRequest &req)
         }
         // Write-allocate without an off-chip fetch (full-block write).
         ++stats_.misses;
-        if ((tad & kValid) != 0) {
+        if (org_.valid(tad_idx)) {
             ++stats_.evictions;
-            if ((tad & kDirty) != 0) {
+            if (org_.dirty(tad_idx)) {
                 const Cycle victim_read =
                     stacked_->rowAccess(row, kBlockBytes, false, tag_done)
                         .completion;
@@ -69,7 +68,7 @@ AlloyCache::access(const DramCacheRequest &req)
                     blockAddress(org_.blockOf(tad_idx)), victim_read);
             }
         }
-        tad = kValid | kDirty | tag;
+        org_.install(tad_idx, tag, true);
         result.doneAt =
             stacked_->rowAccess(row, geometry_.tadBytes, true, tag_done)
                 .completion;
@@ -119,15 +118,15 @@ AlloyCache::access(const DramCacheRequest &req)
     }
 
     // Allocate the fetched block (evicting the direct-mapped victim).
-    if ((tad & kValid) != 0) {
+    if (org_.valid(tad_idx)) {
         ++stats_.evictions;
-        if ((tad & kDirty) != 0) {
+        if (org_.dirty(tad_idx)) {
             // The victim's data arrived with the probe; write it back.
             writeback_.writeBlock(blockAddress(org_.blockOf(tad_idx)),
                                   result.doneAt);
         }
     }
-    tad = kValid | tag;
+    org_.install(tad_idx, tag, false);
     stacked_->rowAccess(row, geometry_.tadBytes, true, result.doneAt);
     return result;
 }
@@ -147,7 +146,7 @@ AlloyCache::blockDirty(Addr addr) const
     std::uint64_t tad_idx;
     std::uint64_t tag;
     org_.locate(blockNumber(addr), tad_idx, tag);
-    return org_.word(tad_idx) == (kValid | kDirty | tag);
+    return org_.present(tad_idx, tag) && org_.dirty(tad_idx);
 }
 
 

@@ -86,17 +86,13 @@ class AlloyCache final : public DramCache
     }
 
   private:
-    /** Packed TAD word (the shared set_scan.hh positions). */
-    static constexpr std::uint64_t kValid = kWayValidBit;
-    static constexpr std::uint64_t kDirty = kWayDirtyBit;
-    static constexpr std::uint64_t kTagMask = kWayTagMask;
-
     AlloyConfig config_;
     AlloyGeometry geometry_;
     std::unique_ptr<MemoryBackend> stacked_;
     std::unique_ptr<MissPredictor> missPred_;
-    /** CacheOrganization: one packed word per direct-mapped TAD frame;
-     *  the whole lookup is a single 8-byte load and masked compare. */
+    /** CacheOrganization: one packed 32-bit word per direct-mapped
+     *  TAD frame; the whole lookup is a single 4-byte load and masked
+     *  compare. */
     DirectOrganization org_;
     FillEngine fill_;
     WritebackEngine writeback_;

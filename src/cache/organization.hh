@@ -14,8 +14,8 @@
  *    (Unison Cache, Footprint Cache; associativity 1 degenerates to
  *    the direct-mapped tagged-page straw man);
  *  - DirectOrganization: direct-mapped block frames with one packed
- *    tag word each (Alloy Cache, the naive block+FP splice, and the
- *    composed alloy-fp hybrid);
+ *    32-bit tag word each (Alloy Cache and the block-footprint splice
+ *    behind `alloyfp` and `naiveblockfp`);
  *  - RowSetOrganization: one DRAM row per set with a wide way array
  *    (the Loh-Hill organization).
  *
@@ -35,6 +35,7 @@
 #include "cache/set_scan.hh"
 #include "cache/set_scan_simd.hh"
 #include "common/fastdiv.hh"
+#include "common/flat_map.hh"
 #include "common/prefault.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
@@ -152,9 +153,17 @@ class PageOrganization
 };
 
 /**
- * Direct-mapped block organization: one packed 64-bit tag word per
- * frame (valid/dirty folded into the top bits, set_scan.hh layout), so
- * the whole lookup is a single 8-byte load and masked compare.
+ * Direct-mapped block organization: one packed 32-bit tag word per
+ * frame -- bit 31 valid, bit 30 dirty, bits 0-29 the tag -- so the
+ * whole lookup is a single 4-byte load and masked compare.
+ *
+ * Tags are exact at any width. A tag of 2^30 - 1 or more leaves
+ * kEscape in the word's tag field and its full value in a side map
+ * keyed by frame. The map stays empty until such a tag is installed:
+ * at 1 GB that takes a byte address beyond 2^59, while a one-row cache
+ * under a multiprogrammed mix (regions based at 2^46) escapes on every
+ * install. The checkpoint image is the 64-bit word per frame of
+ * set_scan.hh's layout (valid bit 63, dirty bit 62, the full tag).
  */
 class DirectOrganization
 {
@@ -167,6 +176,7 @@ class DirectOrganization
         numFrames_ = num_frames;
         numFramesDiv_.init(num_frames);
         assignPrefaulted(words_, num_frames, 0);
+        wideTags_.clear();
     }
 
     /** Frame and tag of a global block number. */
@@ -177,37 +187,117 @@ class DirectOrganization
         numFramesDiv_.divMod(block, tag, frame);
     }
 
-    /** Global block number resident in `frame` (from its tag word). */
+    /** Global block number resident in `frame` (from its tag). */
     std::uint64_t
     blockOf(std::uint64_t frame) const
     {
-        return (words_[frame] & kWayTagMask) * numFrames_ + frame;
+        return tagOf(frame) * numFrames_ + frame;
     }
 
     bool
     present(std::uint64_t frame, std::uint64_t tag) const
     {
-        return (words_[frame] & ~kWayDirtyBit) == (kWayValidBit | tag);
+        const std::uint32_t field = narrow(tag);
+        if ((words_[frame] & ~kDirty) != (kValid | field))
+            return false;
+        return field != kEscape || *wideTags_.find(frame) == tag;
     }
 
-    std::uint64_t &word(std::uint64_t frame) { return words_[frame]; }
-    const std::uint64_t &
-    word(std::uint64_t frame) const
+    bool
+    valid(std::uint64_t frame) const
     {
-        return words_[frame];
+        return (words_[frame] & kValid) != 0;
     }
+
+    bool
+    dirty(std::uint64_t frame) const
+    {
+        return (words_[frame] & kDirty) != 0;
+    }
+
+    /** Make `frame` hold `tag`, valid, dirty as given. */
+    void
+    install(std::uint64_t frame, std::uint64_t tag, bool is_dirty)
+    {
+        store(frame, (is_dirty ? kValid | kDirty : kValid), tag);
+    }
+
+    void markDirty(std::uint64_t frame) { words_[frame] |= kDirty; }
 
     std::uint64_t numFrames() const { return numFrames_; }
 
-    /** Warm-state checkpoint of the packed tag words. */
-    void saveState(StateWriter &out) const { out.podVector(words_); }
-    void loadState(StateReader &in) { in.podVectorExact(words_); }
+    /** Frames whose tag lives in the side map. */
+    std::size_t escapedTags() const { return wideTags_.size(); }
+
+    /** Bytes of the per-frame tag array. */
+    std::size_t
+    tagArrayBytes() const
+    {
+        return words_.size() * sizeof(words_[0]);
+    }
+
+    /** Warm-state checkpoint: one 64-bit set_scan.hh word per frame. */
+    void
+    saveState(StateWriter &out) const
+    {
+        out.podSequence<std::uint64_t>(
+            words_.size(), [this](std::size_t frame) {
+                const std::uint64_t flags = words_[frame] & ~kEscape;
+                return (flags << 32) | tagOf(frame);
+            });
+    }
+
+    void
+    loadState(StateReader &in)
+    {
+        wideTags_.clear();
+        in.podSequenceExact<std::uint64_t>(
+            words_.size(), [this](std::size_t frame, std::uint64_t w) {
+                store(frame,
+                      static_cast<std::uint32_t>(
+                          (w & (kWayValidBit | kWayDirtyBit)) >> 32),
+                      w & kWayTagMask);
+            });
+    }
 
   private:
+    static constexpr std::uint32_t kValid = 1u << 31;
+    static constexpr std::uint32_t kDirty = 1u << 30;
+    /** Tag-field value meaning "the full tag is in the side map". */
+    static constexpr std::uint32_t kEscape = kDirty - 1;
+
+    static std::uint32_t
+    narrow(std::uint64_t tag)
+    {
+        return tag < kEscape ? static_cast<std::uint32_t>(tag) : kEscape;
+    }
+
+    std::uint64_t
+    tagOf(std::uint64_t frame) const
+    {
+        const std::uint32_t field = words_[frame] & kEscape;
+        return field != kEscape ? field : *wideTags_.find(frame);
+    }
+
+    /** Write `frame`'s word from its valid/dirty `flags` and `tag`,
+     *  keeping the side map in step. */
+    void
+    store(std::uint64_t frame, std::uint32_t flags, std::uint64_t tag)
+    {
+        const std::uint32_t field = narrow(tag);
+        if (field == kEscape)
+            wideTags_.insertOrAssign(frame, tag);
+        else if ((words_[frame] & kEscape) == kEscape)
+            wideTags_.erase(frame);
+        words_[frame] = flags | field;
+    }
+
     std::uint64_t numFrames_ = 1;
     FastDiv64 numFramesDiv_;
     /** One packed word per direct-mapped frame. */
-    std::vector<std::uint64_t> words_;
+    std::vector<std::uint32_t> words_;
+    /** Full tags of the frames whose tag field holds kEscape. */
+    FlatU64Map<std::uint64_t> wideTags_;
 };
 
 /**

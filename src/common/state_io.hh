@@ -72,6 +72,25 @@ class StateWriter
                         v.size() * sizeof(T));
     }
 
+    /** `n` elements in podVector's layout (count, then the elements),
+     *  element i being `at(i)`: a vector image of state that is held
+     *  in some other shape, without building the vector. */
+    template <typename T, typename Fn>
+    void
+    podSequence(std::size_t n, Fn &&at)
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "checkpoint fields must be trivially copyable");
+        pod(static_cast<std::uint64_t>(n));
+        const std::size_t base = bytes_.size();
+        bytes_.resize(base + n * sizeof(T));
+        for (std::size_t i = 0; i < n; ++i) {
+            const T value = at(i);
+            std::memcpy(bytes_.data() + base + i * sizeof(T), &value,
+                        sizeof(T));
+        }
+    }
+
     std::vector<std::uint8_t> take() && { return std::move(bytes_); }
     std::size_t size() const { return bytes_.size(); }
 
@@ -131,29 +150,38 @@ class StateReader
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "checkpoint fields must be trivially copyable");
-        std::uint64_t n = 0;
-        pod(n);
-        if (!failed_ && n != v.size())
-            recordFailure("checkpoint shape mismatch: saved vector "
-                          "has " +
-                          std::to_string(n) +
-                          " elements, component expects " +
-                          std::to_string(v.size()));
-        if (!failed_ && at_ + n * sizeof(T) > bytes_.size())
-            recordFailure("checkpoint underrun: need " +
-                          std::to_string(n * sizeof(T)) + " bytes at " +
-                          std::to_string(at_) + " of " +
-                          std::to_string(bytes_.size()));
-        if (failed_) {
+        if (!vectorHeader(v.size(), sizeof(T))) {
             // Value-init (not memset): some checkpointed structs have
             // default member initializers, making raw byte-clearing a
             // -Wclass-memaccess complaint.
             std::fill(v.begin(), v.end(), T{});
             return;
         }
-        if (n != 0)
-            std::memcpy(v.data(), bytes_.data() + at_, n * sizeof(T));
-        at_ += n * sizeof(T);
+        if (!v.empty())
+            std::memcpy(v.data(), bytes_.data() + at_,
+                        v.size() * sizeof(T));
+        at_ += v.size() * sizeof(T);
+    }
+
+    /** Read back a podSequence of exactly `n` elements, handing
+     *  element i to `put(i, value)`. Failure follows podVectorExact:
+     *  every element is handed over as T{}. */
+    template <typename T, typename Fn>
+    void
+    podSequenceExact(std::size_t n, Fn &&put)
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "checkpoint fields must be trivially copyable");
+        const bool whole = vectorHeader(n, sizeof(T));
+        for (std::size_t i = 0; i < n; ++i) {
+            T value{};
+            if (whole)
+                std::memcpy(&value, bytes_.data() + at_ + i * sizeof(T),
+                            sizeof(T));
+            put(i, value);
+        }
+        if (whole)
+            at_ += n * sizeof(T);
     }
 
     /** Restore a vector whose saved size is authoritative (hash-map
@@ -215,6 +243,28 @@ class StateReader
     }
 
   private:
+    /** Consume a vector's element count and check that it is `n` and
+     *  that all `n` elements of `elem_bytes` follow; false (failed)
+     *  otherwise. */
+    bool
+    vectorHeader(std::uint64_t n, std::size_t elem_bytes)
+    {
+        std::uint64_t saved = 0;
+        pod(saved);
+        if (!failed_ && saved != n)
+            recordFailure("checkpoint shape mismatch: saved vector "
+                          "has " +
+                          std::to_string(saved) +
+                          " elements, component expects " +
+                          std::to_string(n));
+        if (!failed_ && at_ + n * elem_bytes > bytes_.size())
+            recordFailure("checkpoint underrun: need " +
+                          std::to_string(n * elem_bytes) + " bytes at " +
+                          std::to_string(at_) + " of " +
+                          std::to_string(bytes_.size()));
+        return !failed_;
+    }
+
     void
     recordFailure(const std::string &why)
     {

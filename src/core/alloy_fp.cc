@@ -78,11 +78,10 @@ AlloyFpCache::chargeRowScan(std::uint64_t row, Cycle start)
 void
 AlloyFpCache::installBlock(const Location &loc, Cycle when)
 {
-    std::uint64_t &tad = org_.word(loc.frame);
-    if ((tad & kValid) != 0 && (tad & kTagMask) != loc.tag) {
+    if (org_.valid(loc.frame) && !org_.present(loc.frame, loc.tag)) {
         ++stats_.evictions;
         const std::uint64_t victim_block = org_.blockOf(loc.frame);
-        if ((tad & kDirty) != 0) {
+        if (org_.dirty(loc.frame)) {
             const Cycle read_done =
                 stacked_
                     ->rowAccess(geometry_.rowOfTad(loc.frame),
@@ -128,7 +127,7 @@ AlloyFpCache::installBlock(const Location &loc, Cycle when)
                              gone.touchedMask, gone.fetchedMask);
         }
     }
-    tad = kValid | loc.tag;
+    org_.install(loc.frame, loc.tag, false);
     stacked_->rowAccess(geometry_.rowOfTad(loc.frame),
                         geometry_.tadBytes, true, when);
 }
@@ -137,9 +136,8 @@ DramCacheResult
 AlloyFpCache::access(const DramCacheRequest &req)
 {
     const Location loc = locate(req.addr);
-    std::uint64_t &tad = org_.word(loc.frame);
     const std::uint64_t row = geometry_.rowOfTad(loc.frame);
-    const bool hit = (tad & ~kDirty) == (kValid | loc.tag);
+    const bool hit = org_.present(loc.frame, loc.tag);
     const std::uint32_t bit = 1u << loc.offset;
 
     DramCacheResult result;
@@ -151,7 +149,7 @@ AlloyFpCache::access(const DramCacheRequest &req)
             stacked_->rowAccess(row, 8, false, req.cycle).completion;
         if (hit) {
             ++stats_.hits;
-            tad |= kDirty;
+            org_.markDirty(loc.frame);
             if (PageGroupTracker::PageInfo *info =
                     pages_.find(loc.page)) {
                 info->touchedMask |= bit;
@@ -266,7 +264,7 @@ bool
 AlloyFpCache::blockDirty(Addr addr) const
 {
     const Location loc = locate(addr);
-    return org_.word(loc.frame) == (kValid | kDirty | loc.tag);
+    return org_.present(loc.frame, loc.tag) && org_.dirty(loc.frame);
 }
 
 bool

@@ -164,11 +164,6 @@ class AlloyFpCache final : public DramCache
     }
 
   private:
-    /** Packed TAD word (the shared set_scan.hh positions). */
-    static constexpr std::uint64_t kValid = kWayValidBit;
-    static constexpr std::uint64_t kDirty = kWayDirtyBit;
-    static constexpr std::uint64_t kTagMask = kWayTagMask;
-
     struct Location
     {
         std::uint64_t block = 0;
@@ -195,7 +190,8 @@ class AlloyFpCache final : public DramCache
     FastDiv64 pageDiv_;
     std::unique_ptr<MemoryBackend> stacked_;
     FootprintFetchPolicy fetchPolicy_;
-    /** CacheOrganization: one packed word per direct-mapped frame. */
+    /** CacheOrganization: one packed 32-bit word per direct-mapped
+     *  frame. */
     DirectOrganization org_;
     PageGroupTracker pages_;
     FillEngine fill_;

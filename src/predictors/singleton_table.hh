@@ -95,7 +95,12 @@ class SingletonTable
         std::uint32_t firstBlock = 0;
         std::uint64_t lastUse = 0;
         bool valid = false;
+        /** Named padding, zeroed so warm snapshots (which write this
+         *  struct as raw bytes) are deterministic. */
+        std::uint8_t pad[7] = {};
     };
+    static_assert(sizeof(Entry) == 40,
+                  "warm-snapshot singleton records keep their layout");
 
     SingletonTableConfig config_;
     std::uint32_t numSets_;

@@ -318,6 +318,30 @@ TEST(DesignGolden, BitIdenticalMixedWorkload)
     expectGolden(r, g);
 }
 
+TEST(DesignGolden, BitIdenticalAlloyWithEscapedTags)
+{
+    // One 8 KB row (112 TAD frames) under a two-core gups mix, whose
+    // private regions start at 2^46 bytes: every tag is at least
+    // 2^40 / 112 > 2^33, so every install takes DirectOrganization's
+    // escape path. Random updates over 1 GB per core never hit in 112
+    // frames, so the row pins the escaped tags' miss compare and the
+    // victim addresses of 49618 write-backs (blockOf), which set the
+    // off-chip bank timing. Captured from the 64-bit tag-word engine.
+    const GoldenRow g = {DesignKind::Alloy, 9497127ull, 400600ull,
+                         100000ull, 0ull, 99511ull, 0ull, 0ull,
+                         99511ull, 49894ull, 49618ull, 49894ull,
+                         49618ull, 0ull, 221840ull, 0ull};
+    ExperimentSpec spec;
+    spec.design = g.kind;
+    spec.capacityBytes = kRowBytes;
+    spec.accesses = 300'000;
+    spec.seed = 7;
+    spec.system.numCores = 2;
+    spec.mix = parseMixSpec("gups:2");
+    const SimResult r = runExperiment(spec);
+    expectGolden(r, g);
+}
+
 // ------------------------------------------ knob ranges are buildable
 
 /** The values of `knob` worth probing: a uint knob's minimum and

@@ -356,11 +356,11 @@ runGrid(const std::string &grid_name, std::vector<GridPoint> points,
         fatal("nothing to run: the grid (or this shard) is empty");
 
     // Validate everything up front: a bad point should fail before
-    // hours of simulation, not mid-grid.
+    // hours of simulation, not mid-grid. Usage, as `submit` reports it.
     for (const GridPoint &point : points) {
         const std::string err = point.spec.validationError();
         if (!err.empty())
-            fatal("point '", point.label, "': ", err);
+            throwUsage("point '", point.label, "': ", err);
     }
 
     // The content-addressed store is the one durable mechanism:
@@ -631,7 +631,8 @@ main(int argc, char **argv)
 
     // Classified exits: SimError carries its own exit code (2 usage,
     // 3 I/O, 4 corrupt input); malformed JSON is corrupt input by
-    // definition. fatal() keeps exit 1 for unclassified spec errors.
+    // definition; a spec that fails validation is a usage error, as
+    // on the serve path. fatal() keeps exit 1 for unclassified errors.
     try {
         const int modes = (args.getFlag("list") ? 1 : 0) +
                           (args.getFlag("list-backends") ? 1 : 0) +
