@@ -4,17 +4,17 @@
  * all at 1 GB on three representative workloads:
  *
  *  1. way policy   -- way prediction vs fetching all ways vs
- *                     serializing tag-then-data (Sec. III-A.5/6);
+ *                     serializing tag-then-data (Sec. III-A.5/6),
+ *                     and the predictor itself: per-set MRU and
+ *                     always-way-0 against the paper's hashed one;
  *  2. page size    -- 960 B vs 1984 B pages (Sec. V-A);
  *  3. miss policy  -- static always-hit vs a MAP-I miss predictor
  *                     (the paper argues the predictor is unnecessary);
  *  4. singleton    -- singleton bypass on/off (effective capacity);
  *  5. footprint    -- footprint prediction off = fetch whole pages
  *                     (the off-chip traffic explosion FP prevents);
- *  6. compositions -- the policy-framework hybrids: alloy-fp (block
- *                     cache + footprint-grouped prefetch) and the
- *                     unisonwp pluggable way predictors (mru,
- *                     static0) against the paper's hashed one.
+ *  6. composition  -- the policy-framework hybrid alloy-fp (block
+ *                     cache + footprint-grouped prefetch).
  */
 
 #include <cstdio>
@@ -73,9 +73,10 @@ main(int argc, char **argv)
         "wp=static0 way predictor (composed)",
     };
 
-    // One nocache baseline plus ten arms per workload (seven Unison
-    // deviations and three policy-framework compositions); the grid
-    // lives in sim/figures.cc (shared with unison_sim).
+    // One nocache baseline plus ten arms per workload (the Unison
+    // baseline, eight Unison deviations and the alloy-fp composition;
+    // goldens/ablation_unison.csv pins these labels); the grid lives
+    // in sim/figures.cc (shared with unison_sim).
     const std::vector<GridPoint> points =
         figureGrid("ablation", figureOptions(opts));
     const std::vector<SimResult> results =

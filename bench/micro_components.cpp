@@ -1,7 +1,7 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the simulator's hot components:
- * the residue divider, predictor lookups, SRAM cache accesses, DRAM
+ * predictor lookups, SRAM cache accesses, DRAM
  * channel timing, full Unison Cache accesses, and workload generation.
  * These guard the simulation throughput that the figure-level benches
  * depend on.
@@ -11,7 +11,6 @@
 
 #include "baselines/alloy_cache.hh"
 #include "cache/sram_cache.hh"
-#include "common/residue.hh"
 #include "core/alloy_fp.hh"
 #include "core/conflict_model.hh"
 #include "common/rng.hh"
@@ -25,19 +24,6 @@
 namespace {
 
 using namespace unison;
-
-void
-BM_MersenneDivMod(benchmark::State &state)
-{
-    const MersenneDivider div15(4);
-    Rng rng(1);
-    std::uint64_t q, r;
-    for (auto _ : state) {
-        div15.divMod(rng.next() >> 20, q, r);
-        benchmark::DoNotOptimize(q + r);
-    }
-}
-BENCHMARK(BM_MersenneDivMod);
 
 void
 BM_FootprintTableLookup(benchmark::State &state)

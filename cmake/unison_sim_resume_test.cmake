@@ -13,7 +13,8 @@
 #     object (read-corrupt injection) is rejected with a structured
 #     warning and falls back to a cold warm-up, byte-identically;
 #  4. the classified exit codes hold: 2 for usage errors (including a
-#     spec the design's validation refuses), 3 for I/O, 4 for corrupt
+#     spec the design's validation refuses, and an unknown --format or
+#     --memory-backend, both refused before any point runs), 3 for I/O, 4 for corrupt
 #     input (including a spec in a retired schema version and a knob
 #     outside its range), 1 for an option the build no longer has.
 #
@@ -255,6 +256,20 @@ if(NOT rc EQUAL 2)
   message(FATAL_ERROR
     "--store without --figure/--spec must exit 2 (usage), got ${rc}")
 endif()
+
+# An unknown output format or memory backend is usage, refused before
+# any point is simulated (no "done" progress line).
+foreach(bad "--format;xml" "--memory-backend;cycleexact")
+  execute_process(
+    COMMAND ${UNISON_SIM_BIN} --spec ${SMOKE_SPEC} ${bad}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  string(FIND "${err}" " done" ran)
+  if(NOT rc EQUAL 2 OR NOT ran EQUAL -1)
+    message(FATAL_ERROR
+      "'${bad}' must exit 2 (usage) before simulating, got ${rc}:\n"
+      "${err}")
+  endif()
+endforeach()
 
 file(WRITE ${WORK_DIR}/bad.json "{\"schema\": \"unison-grid/1\", ")
 execute_process(

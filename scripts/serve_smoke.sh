@@ -8,8 +8,9 @@
 #  3. `store gc` under a generous budget evicts nothing;
 #  4. a spec with an out-of-range knob is refused (exit 4, the range
 #     in the message), one the design's validation refuses is a usage
-#     error (exit 2, the knob in the message), and the server keeps
-#     serving;
+#     error (exit 2, the knob in the message), an unknown --format is
+#     a usage error before anything is submitted, and the server
+#     keeps serving;
 #  5. a server killed with SIGKILL mid-sweep loses nothing that
 #     reached the store: a restarted server completes the resubmitted
 #     sweep with >= 1 store hit and byte-identical output;
@@ -139,6 +140,16 @@ grep -q "fhtEntries" bad_fht.log ||
     fail "refusal does not name fhtEntries: $(cat bad_fht.log)"
 "$SIM" submit --connect sweep.sock --ping >/dev/null 2>&1 ||
     fail "server stopped answering after a spec failing validation"
+RC=0
+"$SIM" submit --connect sweep.sock --spec "$SMOKE" --format xml \
+    --out bad_format_out.json 2> bad_format.log || RC=$?
+[ "$RC" -eq 2 ] ||
+    fail "submit --format xml must exit 2, got $RC: $(cat bad_format.log)"
+if grep -q "point(s)" bad_format.log; then
+  fail "submit --format xml reached the server: $(cat bad_format.log)"
+fi
+"$SIM" submit --connect sweep.sock --ping >/dev/null 2>&1 ||
+    fail "server stopped answering after a bad --format"
 "$SIM" submit --connect sweep.sock --spec "$SMOKE" \
     --out sub3.json 2> sub3.log
 cmp direct_smoke.json sub3.json ||

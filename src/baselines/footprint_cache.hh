@@ -142,7 +142,7 @@ class FootprintCache final : public DramCache
     FillEngine fill_;
     WritebackEngine writeback_;
     std::uint32_t useCounter_ = 0;
-    std::uint8_t statsGen_ = 0; //!< see UnisonCacheT::statsGen_
+    std::uint8_t statsGen_ = 0; //!< see UnisonCache::statsGen_
 };
 
 } // namespace unison

@@ -144,7 +144,7 @@ class PageOrganization
     std::uint64_t numSets_ = 1;
     std::uint32_t assoc_ = 1;
     /** Page split (block -> page, offset). The modelled hardware uses
-     *  the MersenneDivider adder tree for its 2^n - 1 page sizes; the
+     *  a residue-arithmetic adder tree for its 2^n - 1 page sizes; the
      *  simulator computes the identical mapping with a reciprocal
      *  multiply, which also covers non-Mersenne ablation page sizes. */
     FastDiv64 pageDiv_;

@@ -138,7 +138,7 @@ enum class DramCacheKind : std::uint8_t
     Ideal,
     NoCache,
     AlloyFp,  //!< alloyfp and naiveblockfp: blocks + footprint prefetch
-    UnisonWp, //!< composed: Unison with pluggable way predictors
+    UnisonWp, //!< no longer built: named only by perfbench/runner.cpp
     Other, //!< out-of-tree subclass: virtual per-access dispatch
 };
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Registry entry for Unison Cache. The cache body itself is the
- * UnisonCacheT composition template in unison_cache.hh (shared with
- * the unison-wp ablation design in unison_wp.hh); this file only
- * describes the design -- names, knobs, validation, factory -- to the
- * design registry.
+ * Registry entry for Unison Cache. The cache body itself is
+ * header-resident in unison_cache.hh; this file only describes the
+ * design -- names, knobs, validation, factory -- to the design
+ * registry.
  */
 
 #include "core/unison_cache.hh"
@@ -32,9 +31,11 @@ unisonDesignInfo()
                                &UnisonConfig::assoc, 1, 32),
         knobEnum<UnisonConfig>(
             "wayPolicy",
-            "way location: predict / fetch-all / serial-tag",
+            "way location (predict = the paper's hashed predictor)",
             &UnisonConfig::wayPolicy,
             {{"predict", UnisonWayPolicy::Predict},
+             {"predict-mru", UnisonWayPolicy::PredictMru},
+             {"predict-static0", UnisonWayPolicy::PredictStatic0},
              {"fetch-all", UnisonWayPolicy::FetchAll},
              {"serial-tag", UnisonWayPolicy::SerialTag}}),
         knobEnum<UnisonConfig>(
@@ -69,7 +70,12 @@ unisonDesignInfo()
     };
     info.validate = [](const DesignVariant &v,
                        const DesignBuildContext &) -> std::string {
-        return validateUnisonKnobs(std::get<UnisonConfig>(v));
+        const UnisonConfig &c = std::get<UnisonConfig>(v);
+        if (std::string fht = validateFhtShape(c.fhtConfig); !fht.empty())
+            return fht;
+        if (c.wayPredictorIndexBits != 0 && c.wayPredictorIndexBits < 4)
+            return "wayPredictorIndexBits must be 0 (auto) or >= 4";
+        return "";
     };
     info.build = [](const DesignVariant &v,
                     const DesignBuildContext &ctx,
@@ -81,17 +87,6 @@ unisonDesignInfo()
         return std::make_unique<UnisonCache>(cfg, offchip);
     };
     return info;
-}
-
-std::string
-validateUnisonKnobs(const UnisonConfig &c)
-{
-    if (std::string fht = validateFhtShape(c.fhtConfig); !fht.empty())
-        return fht;
-    if (c.wayPredictorIndexBits != 0 &&
-        c.wayPredictorIndexBits < 4)
-        return "wayPredictorIndexBits must be 0 (auto) or >= 4";
-    return "";
 }
 
 } // namespace unison

@@ -5,16 +5,17 @@
  *
  *  - CacheOrganization: PageOrganization (cache/organization.hh) --
  *    pages of 15 blocks (960 B) or 31 blocks (1984 B) in 4-way sets,
- *    located with the residue-arithmetic-equivalent reciprocal divide
+ *    located with a reciprocal-multiply divide (common/fastdiv.hh)
+ *    standing in for the paper's residue-arithmetic adder tree
  *    (Sec. III-A.7);
  *  - FetchPolicy: FootprintFetchPolicy (predictors/fetch_policy.hh) --
  *    footprint prediction with singleton bypass (Sec. III-A.1-4);
  *  - FillEngine/WritebackEngine (core/fill_engine.hh) own all
  *    off-chip traffic and its accounting;
- *  - the way-location policy is a *compile-time* template parameter
- *    (Sec. III-A.5/6): UnisonCache instantiates the paper's hashed
- *    address-based predictor; core/unison_wp.hh instantiates the same
- *    cache body with swappable predictors for ablation.
+ *  - way location is the `wayPolicy` knob (Sec. III-A.5/6): the
+ *    paper's hashed way predictor, two predictor ablations (per-set
+ *    MRU, always way 0), or no predictor at all (fetch every way, or
+ *    serialize the tag and data reads).
  *
  * What remains in this file is what genuinely defines Unison Cache:
  * the in-DRAM tag placement and its timing. Tags live in the stacked
@@ -33,6 +34,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/organization.hh"
@@ -50,13 +52,25 @@
 
 namespace unison {
 
-/** How the correct way of a set is located (Sec. III-A.5 ablations). */
+/** How the correct way of a set is located (Sec. III-A.5/6 ablations). */
 enum class UnisonWayPolicy
 {
-    Predict,   //!< way predictor, overlapped reads (the paper's design)
-    FetchAll,  //!< stream all ways in parallel (4x hit traffic)
-    SerialTag, //!< tag read, then data read (serialized)
+    Predict,        //!< hashed way predictor, overlapped reads (the paper's)
+    PredictMru,     //!< predict the set's most-recently-used way
+    PredictStatic0, //!< always predict way 0 (the predictor-less floor)
+    FetchAll,       //!< stream all ways in parallel (4x hit traffic)
+    SerialTag,      //!< tag read, then data read (serialized)
 };
+
+/** True for the policies that read one predicted way in unison with
+ *  the tag; only these consult and train the way predictor. */
+constexpr bool
+predictsWay(UnisonWayPolicy policy)
+{
+    return policy == UnisonWayPolicy::Predict ||
+           policy == UnisonWayPolicy::PredictMru ||
+           policy == UnisonWayPolicy::PredictStatic0;
+}
 
 /** Hit/miss speculation policy (Sec. III-A, second insight). */
 enum class UnisonMissPolicy
@@ -94,66 +108,100 @@ struct UnisonConfig
 };
 
 /**
- * The paper's way predictor as a composition policy: the hashed
- * address-based WayPredictor (Sec. III-A.6), ignoring the set index.
+ * The way predictor of the `predict*` policies: the paper's hashed
+ * address-based WayPredictor (Sec. III-A.6, ignoring the set index),
+ * the set's most-recently-used way (one byte per set, no hash table),
+ * or always way 0 (~1/assoc accuracy under LRU churn). Accuracy is
+ * counted here, the same way for all three.
  */
-class HashedWayPolicy
+class UnisonWayPredictor
 {
   public:
-    static constexpr DramCacheKind kCacheKind = DramCacheKind::Unison;
-
-    HashedWayPolicy(const UnisonConfig &config, const UnisonGeometry &)
-        : pred_(config.wayPredictorIndexBits != 0
-                    ? config.wayPredictorIndexBits
-                    : WayPredictor::indexBitsForCapacity(
-                          config.capacityBytes),
-                config.assoc)
+    UnisonWayPredictor(const UnisonConfig &config, std::uint64_t num_sets)
+        : policy_(config.wayPolicy),
+          hashed_(config.wayPredictorIndexBits != 0
+                      ? config.wayPredictorIndexBits
+                      : WayPredictor::indexBitsForCapacity(
+                            config.capacityBytes),
+                  config.assoc)
     {
+        if (policy_ == UnisonWayPolicy::PredictMru)
+            mruWay_.assign(num_sets, 0);
     }
 
     std::uint32_t
-    predict(std::uint64_t page, std::uint64_t) const
+    predict(std::uint64_t page, std::uint64_t set) const
     {
-        return pred_.predict(page);
+        switch (policy_) {
+          case UnisonWayPolicy::PredictMru:
+            return mruWay_[set];
+          case UnisonWayPolicy::PredictStatic0:
+            return 0;
+          default:
+            return hashed_.predict(page);
+        }
     }
 
     void
-    train(std::uint64_t page, std::uint64_t, std::uint32_t way)
+    train(std::uint64_t page, std::uint64_t set, std::uint32_t way)
     {
-        pred_.train(page, way);
+        switch (policy_) {
+          case UnisonWayPolicy::PredictMru:
+            mruWay_[set] = static_cast<std::uint8_t>(way);
+            break;
+          case UnisonWayPolicy::PredictStatic0:
+            break;
+          default:
+            hashed_.train(page, way);
+            break;
+        }
     }
 
-    void recordOutcome(bool correct) { pred_.recordOutcome(correct); }
+    void
+    recordOutcome(bool correct)
+    {
+        ++stats_.predictions;
+        if (correct)
+            ++stats_.correct;
+    }
 
-    const WayPredictorStats &stats() const { return pred_.stats(); }
-    void resetStats() { pred_.resetStats(); }
+    const WayPredictorStats &stats() const { return stats_; }
+    void resetStats() { stats_.reset(); }
 
-    std::string nameSuffix() const { return ""; }
+    /** Warm-state checkpoint: the hashed table under every policy (it
+     *  is all there is for `predict`), plus the per-set ways under
+     *  `predict-mru`. */
+    void
+    saveState(StateWriter &out) const
+    {
+        hashed_.saveState(out);
+        if (policy_ == UnisonWayPolicy::PredictMru)
+            out.podVector(mruWay_);
+    }
 
-    void saveState(StateWriter &out) const { pred_.saveState(out); }
-    void loadState(StateReader &in) { pred_.loadState(in); }
+    void
+    loadState(StateReader &in)
+    {
+        hashed_.loadState(in);
+        if (policy_ == UnisonWayPolicy::PredictMru)
+            in.podVectorExact(mruWay_);
+    }
 
   private:
-    WayPredictor pred_;
+    UnisonWayPolicy policy_;
+    WayPredictor hashed_;
+    std::vector<std::uint8_t> mruWay_; //!< sized only for `predict-mru`
+    WayPredictorStats stats_;
 };
 
 /**
- * The Unison Cache body, parameterized on the way-location predictor
- * (a compile-time policy: `final` instantiations keep the kind-tag
- * devirtualized dispatch, zero virtual calls on the access path).
- *
- * @tparam WayPolicyT  constructed from (config, geometry); provides
- *         predict(page, set), train(page, set, way),
- *         recordOutcome(correct), stats(), resetStats(),
- *         nameSuffix(), and the composition's DramCacheKind.
- * @tparam ConfigT     UnisonConfig, or a derived struct carrying the
- *         policy's extra knobs (see UnisonWpConfig).
+ * The Unison Cache body. `final`, so the kind-tag dispatch in
+ * System::run devirtualizes: zero virtual calls on the access path.
  */
-template <typename WayPolicyT, typename ConfigT = UnisonConfig>
-class UnisonCacheT final : public DramCache
+class UnisonCache final : public DramCache
 {
   public:
-    UnisonCacheT(const ConfigT &config, MemoryBackend *offchip);
+    UnisonCache(const UnisonConfig &config, MemoryBackend *offchip);
 
     DramCacheResult access(const DramCacheRequest &req) override;
 
@@ -165,7 +213,7 @@ class UnisonCacheT final : public DramCache
     MemoryBackend *stackedDram() override { return stacked_.get(); }
     void resetStats() override;
 
-    const ConfigT &config() const { return config_; }
+    const UnisonConfig &config() const { return config_; }
     const UnisonGeometry &geometry() const { return geometry_; }
     const WayPredictorStats &wayPredictorStats() const
     {
@@ -290,14 +338,14 @@ class UnisonCacheT final : public DramCache
         return blockAddress(page * config_.pageBlocks + offset);
     }
 
-    ConfigT config_;
+    UnisonConfig config_;
     UnisonGeometry geometry_;
 
     /** CacheOrganization: page split + set metadata (hot/cold SoA). */
     PageOrganization org_;
 
     std::unique_ptr<MemoryBackend> stacked_;
-    WayPolicyT wayPred_;
+    UnisonWayPredictor wayPred_;
     FootprintFetchPolicy fetchPolicy_;
     std::unique_ptr<MissPredictor> missPred_;
     FillEngine fill_;
@@ -314,19 +362,18 @@ class UnisonCacheT final : public DramCache
     std::uint8_t statsGen_ = 0;
 };
 
-// ------------------------------------------------- template bodies
+// ------------------------------------------------- member bodies
 // (header-resident: the System timing loop monomorphizes on the
-// concrete instantiation, so access() inlines with no virtual calls)
+// concrete type, so access() inlines with no virtual calls)
 
-template <typename WayPolicyT, typename ConfigT>
-UnisonCacheT<WayPolicyT, ConfigT>::UnisonCacheT(const ConfigT &config,
-                                                MemoryBackend *offchip)
-    : DramCache(offchip, WayPolicyT::kCacheKind),
+inline UnisonCache::UnisonCache(const UnisonConfig &config,
+                                MemoryBackend *offchip)
+    : DramCache(offchip, DramCacheKind::Unison),
       config_(config),
       geometry_(UnisonGeometry::compute(config.capacityBytes,
                                         config.pageBlocks, config.assoc)),
       stacked_(makeMemoryBackend(config.stackedOrg, config.stackedTiming)),
-      wayPred_(config, geometry_),
+      wayPred_(config, geometry_.numSets),
       fetchPolicy_([&] {
           FootprintFetchPolicy::Config c;
           c.fht = config.fhtConfig;
@@ -351,18 +398,20 @@ UnisonCacheT<WayPolicyT, ConfigT>::UnisonCacheT(const ConfigT &config,
     writeback_.init(offchip, &stats_);
 }
 
-template <typename WayPolicyT, typename ConfigT>
-std::string
-UnisonCacheT<WayPolicyT, ConfigT>::name() const
+inline std::string
+UnisonCache::name() const
 {
+    std::string suffix;
+    if (config_.wayPolicy == UnisonWayPolicy::PredictMru)
+        suffix = "+wp=mru";
+    else if (config_.wayPolicy == UnisonWayPolicy::PredictStatic0)
+        suffix = "+wp=static0";
     return "Unison-" + std::to_string(config_.pageBlocks * kBlockBytes) +
-           "B-" + std::to_string(config_.assoc) + "way" +
-           wayPred_.nameSuffix();
+           "B-" + std::to_string(config_.assoc) + "way" + suffix;
 }
 
-template <typename WayPolicyT, typename ConfigT>
-void
-UnisonCacheT<WayPolicyT, ConfigT>::resetStats()
+inline void
+UnisonCache::resetStats()
 {
     DramCache::resetStats();
     ++statsGen_;
@@ -372,9 +421,8 @@ UnisonCacheT<WayPolicyT, ConfigT>::resetStats()
         missPred_->resetStats();
 }
 
-template <typename WayPolicyT, typename ConfigT>
-void
-UnisonCacheT<WayPolicyT, ConfigT>::issueProbeReads(
+inline void
+UnisonCache::issueProbeReads(
     const Location &loc, std::uint32_t pred_way, Cycle start,
     Cycle &tag_done, Cycle &data_done)
 {
@@ -423,9 +471,8 @@ UnisonCacheT<WayPolicyT, ConfigT>::issueProbeReads(
                     .completion;
 }
 
-template <typename WayPolicyT, typename ConfigT>
-DramCacheResult
-UnisonCacheT<WayPolicyT, ConfigT>::serveBlockHit(
+inline DramCacheResult
+UnisonCache::serveBlockHit(
     const DramCacheRequest &req, const Location &loc, int way,
     std::uint32_t pred_way, Cycle tag_done, Cycle data_done)
 {
@@ -449,15 +496,16 @@ UnisonCacheT<WayPolicyT, ConfigT>::serveBlockHit(
                                                                way),
                                         kBlockBytes, true, tag_done)
                             .completion;
-        if (config_.assoc > 1 &&
-            config_.wayPolicy == UnisonWayPolicy::Predict)
+        if (config_.assoc > 1 && predictsWay(config_.wayPolicy))
             wayPred_.train(loc.page, loc.set,
                            static_cast<std::uint32_t>(way));
         return result;
     }
 
     switch (config_.wayPolicy) {
-      case UnisonWayPolicy::Predict: {
+      case UnisonWayPolicy::Predict:
+      case UnisonWayPolicy::PredictMru:
+      case UnisonWayPolicy::PredictStatic0: {
         const bool correct =
             static_cast<std::uint32_t>(way) == pred_way ||
             config_.assoc == 1;
@@ -494,9 +542,8 @@ UnisonCacheT<WayPolicyT, ConfigT>::serveBlockHit(
     return result;
 }
 
-template <typename WayPolicyT, typename ConfigT>
-DramCacheResult
-UnisonCacheT<WayPolicyT, ConfigT>::serveBlockMiss(
+inline DramCacheResult
+UnisonCache::serveBlockMiss(
     const DramCacheRequest &req, const Location &loc, int way,
     Cycle tag_done)
 {
@@ -535,9 +582,8 @@ UnisonCacheT<WayPolicyT, ConfigT>::serveBlockMiss(
     return result;
 }
 
-template <typename WayPolicyT, typename ConfigT>
-void
-UnisonCacheT<WayPolicyT, ConfigT>::evictPage(std::uint64_t set, int way,
+inline void
+UnisonCache::evictPage(std::uint64_t set, int way,
                                              Cycle when)
 {
     const std::size_t idx = setBase(set) + way;
@@ -555,9 +601,8 @@ UnisonCacheT<WayPolicyT, ConfigT>::evictPage(std::uint64_t set, int way,
         fetchPolicy_, stats_, statsGen_);
 }
 
-template <typename WayPolicyT, typename ConfigT>
-DramCacheResult
-UnisonCacheT<WayPolicyT, ConfigT>::serveTriggerMiss(
+inline DramCacheResult
+UnisonCache::serveTriggerMiss(
     const DramCacheRequest &req, const Location &loc, Cycle tag_done,
     Cycle offchip_head_start, bool offchip_started)
 {
@@ -623,7 +668,7 @@ UnisonCacheT<WayPolicyT, ConfigT>::serveTriggerMiss(
                     decision.mask, fetch_mask, blockBit(loc.offset),
                     ++useCounter_, statsGen_});
 
-    if (config_.assoc > 1 && config_.wayPolicy == UnisonWayPolicy::Predict)
+    if (config_.assoc > 1 && predictsWay(config_.wayPolicy))
         wayPred_.train(loc.page, loc.set,
                        static_cast<std::uint32_t>(victim));
 
@@ -631,9 +676,8 @@ UnisonCacheT<WayPolicyT, ConfigT>::serveTriggerMiss(
     return result;
 }
 
-template <typename WayPolicyT, typename ConfigT>
-DramCacheResult
-UnisonCacheT<WayPolicyT, ConfigT>::access(const DramCacheRequest &req)
+inline DramCacheResult
+UnisonCache::access(const DramCacheRequest &req)
 {
     const Location loc = locate(req.addr);
     if (req.isWrite)
@@ -650,7 +694,7 @@ UnisonCacheT<WayPolicyT, ConfigT>::access(const DramCacheRequest &req)
     }
 
     const std::uint32_t pred_way =
-        (config_.assoc > 1 && config_.wayPolicy == UnisonWayPolicy::Predict)
+        (config_.assoc > 1 && predictsWay(config_.wayPolicy))
             ? wayPred_.predict(loc.page, loc.set)
             : 0;
 
@@ -698,17 +742,15 @@ UnisonCacheT<WayPolicyT, ConfigT>::access(const DramCacheRequest &req)
                             offchip_started);
 }
 
-template <typename WayPolicyT, typename ConfigT>
-bool
-UnisonCacheT<WayPolicyT, ConfigT>::pagePresent(Addr addr) const
+inline bool
+UnisonCache::pagePresent(Addr addr) const
 {
     const Location loc = locate(addr);
     return findWay(loc.set, loc.tag) >= 0;
 }
 
-template <typename WayPolicyT, typename ConfigT>
-bool
-UnisonCacheT<WayPolicyT, ConfigT>::blockPresent(Addr addr) const
+inline bool
+UnisonCache::blockPresent(Addr addr) const
 {
     const Location loc = locate(addr);
     const int way = findWay(loc.set, loc.tag);
@@ -718,9 +760,8 @@ UnisonCacheT<WayPolicyT, ConfigT>::blockPresent(Addr addr) const
             blockBit(loc.offset)) != 0;
 }
 
-template <typename WayPolicyT, typename ConfigT>
-bool
-UnisonCacheT<WayPolicyT, ConfigT>::blockDirty(Addr addr) const
+inline bool
+UnisonCache::blockDirty(Addr addr) const
 {
     const Location loc = locate(addr);
     const int way = findWay(loc.set, loc.tag);
@@ -730,9 +771,8 @@ UnisonCacheT<WayPolicyT, ConfigT>::blockDirty(Addr addr) const
             blockBit(loc.offset)) != 0;
 }
 
-template <typename WayPolicyT, typename ConfigT>
-bool
-UnisonCacheT<WayPolicyT, ConfigT>::blockTouched(Addr addr) const
+inline bool
+UnisonCache::blockTouched(Addr addr) const
 {
     const Location loc = locate(addr);
     const int way = findWay(loc.set, loc.tag);
@@ -741,14 +781,6 @@ UnisonCacheT<WayPolicyT, ConfigT>::blockTouched(Addr addr) const
     return (ways().hot[setBase(loc.set) + way].touched &
             blockBit(loc.offset)) != 0;
 }
-
-/** The paper's Unison Cache: the body above composed with the hashed
- *  address-based way predictor. */
-using UnisonCache = UnisonCacheT<HashedWayPolicy>;
-
-/** Knob-range validation shared by the `unison` and `unisonwp`
- *  registry entries (defined in unison_cache.cc). */
-std::string validateUnisonKnobs(const UnisonConfig &config);
 
 } // namespace unison
 

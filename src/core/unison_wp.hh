@@ -1,160 +1,20 @@
 /**
  * @file
- * `unisonwp` -- Unison Cache with *pluggable* way predictors, the
- * first design composed from the policy framework rather than written
- * as a monolith: the UnisonCacheT body from unison_cache.hh is
- * instantiated with a way-location policy whose predictor is swapped
- * via a registry knob. Together with the existing missPolicy knob
- * (always-hit vs MAP-I) this gives the Sec. III-A.5/6 ablation space
- * -- "how much of Unison's hit latency is the way predictor?" -- as
- * sweepable configurations instead of code changes:
- *
- *  - `hashed`: the paper's address-hash WayPredictor (the baseline;
- *    behaviourally identical to the `unison` design);
- *  - `mru`: predict the set's most-recently-used way -- no hash table
- *    at all, one log2(assoc)-bit field per set;
- *  - `static0`: always predict way 0 -- the floor any predictor must
- *    beat (~1/assoc accuracy under LRU churn).
+ * Compatibility alias: the way-predictor ablations are values of
+ * `unison`'s `wayPolicy` knob (see unison_cache.hh), and there is one
+ * Unison cache class. perfbench/runner.cpp still includes this header
+ * and names `UnisonWpCache`; a change to that benchmark can drop both
+ * and delete this file.
  */
 
 #ifndef UNISON_CORE_UNISON_WP_HH
 #define UNISON_CORE_UNISON_WP_HH
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
 #include "core/unison_cache.hh"
 
 namespace unison {
 
-/** Which way predictor the swappable policy runs (the `wayPredictor`
- *  registry knob). */
-enum class UnisonWayPredictorKind
-{
-    Hashed,  //!< the paper's address-hash predictor (Sec. III-A.6)
-    Mru,     //!< per-set most-recently-used way
-    Static0, //!< always way 0 (predictor-less floor)
-};
-
-/** UnisonConfig plus the predictor-selection knob. */
-struct UnisonWpConfig : UnisonConfig
-{
-    UnisonWayPredictorKind wayPredictorKind =
-        UnisonWayPredictorKind::Hashed;
-};
-
-/**
- * The pluggable way-location policy: one concrete composition type
- * (so the kind-tag dispatch stays devirtualized) that switches
- * predictors on a per-instance knob. Prediction accuracy is counted
- * here, uniformly across predictors.
- */
-class SwappableWayPolicy
-{
-  public:
-    static constexpr DramCacheKind kCacheKind = DramCacheKind::UnisonWp;
-
-    SwappableWayPolicy(const UnisonWpConfig &config,
-                       const UnisonGeometry &geometry)
-        : kind_(config.wayPredictorKind),
-          hashed_(config.wayPredictorIndexBits != 0
-                      ? config.wayPredictorIndexBits
-                      : WayPredictor::indexBitsForCapacity(
-                            config.capacityBytes),
-                  config.assoc)
-    {
-        if (kind_ == UnisonWayPredictorKind::Mru)
-            mruWay_.assign(geometry.numSets, 0);
-    }
-
-    std::uint32_t
-    predict(std::uint64_t page, std::uint64_t set) const
-    {
-        switch (kind_) {
-          case UnisonWayPredictorKind::Hashed:
-            return hashed_.predict(page);
-          case UnisonWayPredictorKind::Mru:
-            return mruWay_[set];
-          case UnisonWayPredictorKind::Static0:
-            return 0;
-        }
-        return 0;
-    }
-
-    void
-    train(std::uint64_t page, std::uint64_t set, std::uint32_t way)
-    {
-        switch (kind_) {
-          case UnisonWayPredictorKind::Hashed:
-            hashed_.train(page, way);
-            break;
-          case UnisonWayPredictorKind::Mru:
-            mruWay_[set] = static_cast<std::uint8_t>(way);
-            break;
-          case UnisonWayPredictorKind::Static0:
-            break;
-        }
-    }
-
-    void
-    recordOutcome(bool correct)
-    {
-        ++stats_.predictions;
-        if (correct)
-            ++stats_.correct;
-    }
-
-    const WayPredictorStats &stats() const { return stats_; }
-
-    void
-    resetStats()
-    {
-        stats_.reset();
-        hashed_.resetStats();
-    }
-
-    std::string
-    nameSuffix() const
-    {
-        switch (kind_) {
-          case UnisonWayPredictorKind::Hashed:
-            return "+wp=hashed";
-          case UnisonWayPredictorKind::Mru:
-            return "+wp=mru";
-          case UnisonWayPredictorKind::Static0:
-            return "+wp=static0";
-        }
-        return "";
-    }
-
-    UnisonWayPredictorKind kind() const { return kind_; }
-
-    /** Warm-state checkpoint: every predictor variant's state (the
-     *  unused ones are empty/no-ops, so the format stays uniform). */
-    void
-    saveState(StateWriter &out) const
-    {
-        hashed_.saveState(out);
-        out.podVector(mruWay_);
-    }
-
-    void
-    loadState(StateReader &in)
-    {
-        hashed_.loadState(in);
-        in.podVectorExact(mruWay_);
-    }
-
-  private:
-    UnisonWayPredictorKind kind_;
-    WayPredictor hashed_;
-    std::vector<std::uint8_t> mruWay_; //!< sized only for `mru`
-    WayPredictorStats stats_;
-};
-
-/** The composed design: the Unison body with swappable predictors. */
-using UnisonWpCache = UnisonCacheT<SwappableWayPolicy, UnisonWpConfig>;
+using UnisonWpCache = UnisonCache;
 
 } // namespace unison
 

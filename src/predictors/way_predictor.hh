@@ -24,6 +24,8 @@
 
 namespace unison {
 
+/** Prediction accuracy, counted by the cache that consults a way
+ *  predictor (UnisonWayPredictor in core/unison_cache.hh). */
 struct WayPredictorStats
 {
     Counter predictions;
@@ -58,30 +60,15 @@ class WayPredictor
     /** Train with the way the page was actually found/placed in. */
     void train(std::uint64_t page_id, std::uint32_t way);
 
-    /**
-     * Convenience: record a resolved prediction in the stats counters.
-     */
-    void
-    recordOutcome(bool was_correct)
-    {
-        ++stats_.predictions;
-        if (was_correct)
-            ++stats_.correct;
-    }
-
     /** Paper-recommended index width for a given cache capacity. */
     static std::uint32_t indexBitsForCapacity(std::uint64_t cache_bytes);
 
     /** Modeled SRAM size in bytes (Table II check). */
     std::uint64_t storageBytes() const;
 
-    const WayPredictorStats &stats() const { return stats_; }
-    void resetStats() { stats_.reset(); }
-
     std::uint32_t indexBits() const { return indexBits_; }
 
-    /** Warm-state checkpoint of the prediction table (stats excluded
-     *  by the state_io.hh contract). */
+    /** Warm-state checkpoint of the prediction table. */
     void saveState(StateWriter &out) const { out.podVector(table_); }
     void loadState(StateReader &in) { in.podVectorExact(table_); }
 
@@ -89,7 +76,6 @@ class WayPredictor
     std::uint32_t indexBits_;
     std::uint32_t assoc_;
     std::vector<std::uint8_t> table_;
-    WayPredictorStats stats_;
 };
 
 } // namespace unison

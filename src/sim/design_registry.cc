@@ -54,11 +54,6 @@ static_assert(std::is_same_v<std::variant_alternative_t<
                                      DesignKind::AlloyFp),
                                  DesignVariant>,
                              AlloyFpConfig>);
-static_assert(std::is_same_v<std::variant_alternative_t<
-                                 static_cast<std::size_t>(
-                                     DesignKind::UnisonWp),
-                                 DesignVariant>,
-                             UnisonWpConfig>);
 
 DesignRegistry &
 DesignRegistry::instance()
@@ -74,7 +69,6 @@ DesignRegistry::instance()
         r.add(naiveBlockFpDesignInfo());
         r.add(naiveTaggedPageDesignInfo());
         r.add(alloyFpDesignInfo());
-        r.add(unisonWpDesignInfo());
         r.add(idealDesignInfo());
         r.add(noCacheDesignInfo());
         return r;

@@ -45,7 +45,6 @@
 #include "common/logging.hh"
 #include "core/alloy_fp.hh"
 #include "core/unison_cache.hh"
-#include "core/unison_wp.hh"
 
 namespace unison {
 
@@ -62,8 +61,7 @@ enum class DesignKind
     NaiveTaggedPage,  //!< Sec. III-B.2 rejected design (Fig. 4b)
     Ideal,
     NoDramCache,
-    AlloyFp,  //!< composed: block cache + footprint-grouped prefetch
-    UnisonWp, //!< composed: Unison with pluggable way predictors
+    AlloyFp, //!< composed: block cache + footprint-grouped prefetch
 };
 
 /**
@@ -77,7 +75,7 @@ using DesignVariant =
     std::variant<UnisonConfig, AlloyConfig, FootprintCacheConfig,
                  LohHillConfig, NaiveBlockFpConfig,
                  NaiveTaggedPageConfig, IdealConfig, NoCacheConfig,
-                 AlloyFpConfig, UnisonWpConfig>;
+                 AlloyFpConfig>;
 
 /** Spec-level values the factory folds into the design config. */
 struct DesignBuildContext
@@ -182,7 +180,6 @@ class DesignConfig
     DesignConfig(IdealConfig c) : v_(std::move(c)) {}
     DesignConfig(NoCacheConfig c) : v_(std::move(c)) {}
     DesignConfig(AlloyFpConfig c) : v_(std::move(c)) {}
-    DesignConfig(UnisonWpConfig c) : v_(std::move(c)) {}
 
     DesignKind
     kind() const
@@ -238,7 +235,6 @@ DesignInfo naiveTaggedPageDesignInfo(); // src/baselines/naive_tagged_page.cc
 DesignInfo idealDesignInfo();           // src/baselines/simple_designs.cc
 DesignInfo noCacheDesignInfo();         // src/baselines/simple_designs.cc
 DesignInfo alloyFpDesignInfo();         // src/core/alloy_fp.cc
-DesignInfo unisonWpDesignInfo();        // src/core/unison_wp.cc
 /**@}*/
 
 /** @name Knob-table helpers

@@ -182,8 +182,9 @@ table5Grid(const FigureOptions &opts)
 
 /** The Unison design-choice ablations of core/DESIGN.md: baseline
  *  first, then one arm per deviation, per workload, all at 1 GB. The
- *  last three arms are compositions from the policy framework: the
- *  alloy-fp hybrid and the unisonwp pluggable-way-predictor variants. */
+ *  alloy-fp arm is the policy framework's block-footprint hybrid; the
+ *  last two swap the paper's hashed way predictor for per-set MRU and
+ *  for always-way-0 (`wayPolicy` predict-mru / predict-static0). */
 std::vector<GridPoint>
 ablationGrid(const FigureOptions &opts)
 {
@@ -199,10 +200,10 @@ ablationGrid(const FigureOptions &opts)
     no_singleton.singletonEnabled = false;
     UnisonConfig no_fp;
     no_fp.footprintPredictionEnabled = false;
-    UnisonWpConfig wp_mru;
-    wp_mru.wayPredictorKind = UnisonWayPredictorKind::Mru;
-    UnisonWpConfig wp_static;
-    wp_static.wayPredictorKind = UnisonWayPredictorKind::Static0;
+    UnisonConfig wp_mru;
+    wp_mru.wayPolicy = UnisonWayPolicy::PredictMru;
+    UnisonConfig wp_static;
+    wp_static.wayPolicy = UnisonWayPolicy::PredictStatic0;
 
     std::vector<std::vector<GridPoint>> segments;
     for (Workload w : {Workload::DataServing, Workload::WebSearch,

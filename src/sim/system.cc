@@ -14,7 +14,6 @@
 #include "baselines/no_cache.hh"
 #include "core/alloy_fp.hh"
 #include "core/unison_cache.hh"
-#include "core/unison_wp.hh"
 #include "trace/mix.hh"
 #include "trace/scenarios.hh"
 #include "trace/tracefile.hh"
@@ -142,11 +141,10 @@ System::dispatchCache(Source &source, std::uint64_t total_accesses)
       case DramCacheKind::AlloyFp:
         return runLoop(source, static_cast<AlloyFpCache &>(cache),
                        total_accesses);
-      case DramCacheKind::UnisonWp:
-        return runLoop(source, static_cast<UnisonWpCache &>(cache),
-                       total_accesses);
       case DramCacheKind::Other:
         return runLoop(source, cache, total_accesses);
+      case DramCacheKind::UnisonWp: // no design is built with this tag
+        break;
     }
     panic("unhandled DramCacheKind");
 }
@@ -503,53 +501,26 @@ System::runLoop(Source &source, Cache &cache,
 void
 System::fillPredictorStats(SimResult &result) const
 {
-    // Design-specific accuracy fields, recovered through the kind tag
-    // (dynamic_cast only for out-of-tree subclasses).
-    const UnisonCache *uc = nullptr;
-    const UnisonWpCache *wc = nullptr;
-    const AlloyCache *ac = nullptr;
+    // Design-specific accuracy fields, recovered through the kind tag.
+    // Both classes are final and tag themselves, so no out-of-tree
+    // (`Other`) subclass can be one of them.
+    const MissPredictor *mp = nullptr;
     switch (cache_->kind()) {
-      case DramCacheKind::Unison:
-        uc = static_cast<const UnisonCache *>(cache_.get());
+      case DramCacheKind::Unison: {
+        const auto &uc = static_cast<const UnisonCache &>(*cache_);
+        result.wpAccuracyPercent = uc.wayPredictorStats().accuracyPercent();
+        mp = uc.missPredictor();
         break;
-      case DramCacheKind::UnisonWp:
-        wc = static_cast<const UnisonWpCache *>(cache_.get());
-        break;
+      }
       case DramCacheKind::Alloy:
-        ac = static_cast<const AlloyCache *>(cache_.get());
-        break;
-      case DramCacheKind::Other:
-        uc = dynamic_cast<const UnisonCache *>(cache_.get());
-        ac = dynamic_cast<const AlloyCache *>(cache_.get());
+        mp = static_cast<const AlloyCache &>(*cache_).missPredictor();
         break;
       default:
         break;
     }
-    if (uc != nullptr) {
-        result.wpAccuracyPercent =
-            uc->wayPredictorStats().accuracyPercent();
-        if (uc->missPredictor() != nullptr) {
-            result.mpAccuracyPercent =
-                uc->missPredictor()->stats().accuracyPercent();
-            result.mpOverfetchPercent =
-                uc->missPredictor()->stats().overfetchPercent();
-        }
-    } else if (wc != nullptr) {
-        result.wpAccuracyPercent =
-            wc->wayPredictorStats().accuracyPercent();
-        if (wc->missPredictor() != nullptr) {
-            result.mpAccuracyPercent =
-                wc->missPredictor()->stats().accuracyPercent();
-            result.mpOverfetchPercent =
-                wc->missPredictor()->stats().overfetchPercent();
-        }
-    } else if (ac != nullptr) {
-        if (ac->missPredictor() != nullptr) {
-            result.mpAccuracyPercent =
-                ac->missPredictor()->stats().accuracyPercent();
-            result.mpOverfetchPercent =
-                ac->missPredictor()->stats().overfetchPercent();
-        }
+    if (mp != nullptr) {
+        result.mpAccuracyPercent = mp->stats().accuracyPercent();
+        result.mpOverfetchPercent = mp->stats().overfetchPercent();
     }
 }
 

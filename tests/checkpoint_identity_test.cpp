@@ -65,10 +65,20 @@ TEST(CheckpointIdentity, EveryCheckpointableDesign)
          {DesignKind::Unison, DesignKind::Alloy, DesignKind::Footprint,
           DesignKind::LohHill, DesignKind::NaiveBlockFp,
           DesignKind::NaiveTaggedPage, DesignKind::AlloyFp,
-          DesignKind::UnisonWp, DesignKind::Ideal,
-          DesignKind::NoDramCache}) {
+          DesignKind::Ideal, DesignKind::NoDramCache}) {
         SCOPED_TRACE(designId(d));
         expectCheckpointIdentity(baseSpec(d));
+    }
+    // The way-predictor ablations carry their own predictor state
+    // (per-set MRU ways, or none).
+    for (UnisonWayPolicy policy :
+         {UnisonWayPolicy::PredictMru, UnisonWayPolicy::PredictStatic0}) {
+        SCOPED_TRACE(static_cast<int>(policy));
+        UnisonConfig unison;
+        unison.wayPolicy = policy;
+        ExperimentSpec spec = baseSpec(DesignKind::Unison);
+        spec.design = unison;
+        expectCheckpointIdentity(spec);
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: bit operations, the
- * residue-arithmetic divider the Unison address mapping depends on,
+ * reciprocal divider the cache address mappings depend on,
  * deterministic RNG, the Zipf sampler, and the argument/size parsers.
  */
 
@@ -13,7 +13,6 @@
 #include "common/argparse.hh"
 #include "common/bitops.hh"
 #include "common/fastdiv.hh"
-#include "common/residue.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 
@@ -62,44 +61,6 @@ TEST(BlockGeometry, AddressHelpers)
     EXPECT_EQ(1_KiB, 1024u);
     EXPECT_EQ(2_MiB, 2u * 1024 * 1024);
     EXPECT_EQ(1_GiB, 1024ull * 1024 * 1024);
-}
-
-TEST(Residue, Mod15MatchesIntegerDivision)
-{
-    const MersenneDivider div15(4); // 2^4 - 1 = 15
-    EXPECT_EQ(div15.divisor(), 15u);
-    for (std::uint64_t v = 0; v < 100000; ++v) {
-        EXPECT_EQ(div15.modulo(v), v % 15) << "v=" << v;
-        EXPECT_EQ(div15.divide(v), v / 15) << "v=" << v;
-    }
-}
-
-TEST(Residue, Mod31MatchesIntegerDivision)
-{
-    const MersenneDivider div31(5); // 2^5 - 1 = 31
-    EXPECT_EQ(div31.divisor(), 31u);
-    Rng rng(3);
-    for (int i = 0; i < 100000; ++i) {
-        // Block numbers for datasets up to ~1 TB.
-        const std::uint64_t v = rng.below(1ull << 34);
-        std::uint64_t q, r;
-        div31.divMod(v, q, r);
-        EXPECT_EQ(r, v % 31) << "v=" << v;
-        EXPECT_EQ(q, v / 31) << "v=" << v;
-    }
-}
-
-TEST(Residue, LargeDivisors)
-{
-    for (std::uint32_t bits = 2; bits <= 20; ++bits) {
-        const MersenneDivider div(bits);
-        Rng rng(bits);
-        for (int i = 0; i < 2000; ++i) {
-            const std::uint64_t v = rng.below(1ull << 40);
-            EXPECT_EQ(div.modulo(v), v % div.divisor());
-            EXPECT_EQ(div.divide(v), v / div.divisor());
-        }
-    }
 }
 
 TEST(FastDiv, MatchesHardwareDivisionExactly)

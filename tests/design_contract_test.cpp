@@ -258,16 +258,10 @@ TEST(DesignGolden, BitIdenticalSimResults)
         {DesignKind::NoDramCache, 163567ull, 1295730ull, 100000ull,
          0ull, 4643ull, 0ull, 0ull, 0ull, 3511ull, 1132ull, 3511ull,
          1132ull, 0ull, 0ull, 0ull},
-        // The two policy-framework compositions (PR 5). UnisonWp's
-        // default (hashed) row is identical to Unison's -- the
-        // composition template is behaviour-preserving by
-        // construction, and this pin keeps it that way.
+        // The block-footprint composition (core/alloy_fp.hh).
         {DesignKind::AlloyFp, 248216ull, 1297417ull, 100000ull,
          3463ull, 1102ull, 823ull, 11ull, 736ull, 834ull, 319ull,
          13109ull, 319ull, 0ull, 18602ull, 0ull},
-        {DesignKind::UnisonWp, 263061ull, 1296315ull, 100000ull,
-         3346ull, 1155ull, 1155ull, 0ull, 0ull, 872ull, 283ull,
-         13080ull, 283ull, 0ull, 9591ull, 0ull},
     };
 
     for (const GoldenRow &g : golden) {
@@ -282,15 +276,15 @@ TEST(DesignGolden, BitIdenticalSimResults)
     }
 }
 
-TEST(DesignGolden, UnisonWpPredictorKnobChangesTiming)
+TEST(DesignGolden, UnisonPredictMruChangesTiming)
 {
-    // The composed design's point: swapping the way predictor via
-    // knob is a real ablation arm. MRU tracks bursty same-page reuse
-    // almost as well as the paper's hash (99.8% here vs 100%), and
-    // the accuracy gap shows up as extra stacked re-reads and cycles.
+    // Swapping the way predictor via the wayPolicy knob is a real
+    // ablation arm. MRU tracks bursty same-page reuse almost as well
+    // as the paper's hash (99.8% here vs 100%), and the accuracy gap
+    // shows up as extra stacked re-reads and cycles.
     ExperimentSpec spec;
-    UnisonWpConfig wp;
-    wp.wayPredictorKind = UnisonWayPredictorKind::Mru;
+    UnisonConfig wp;
+    wp.wayPolicy = UnisonWayPolicy::PredictMru;
     spec.design = wp;
     spec.capacityBytes = 64_MiB;
     spec.accesses = 300'000;
@@ -418,9 +412,10 @@ TEST(DesignKnobs, EveryAcceptedExtremeBuilds)
         }
     }
     // The range parse found values on both sides of the line (e.g.
-    // fhtAssoc 1 leaves a non-power-of-two FHT set count).
-    EXPECT_GT(built, 40);
-    EXPECT_GT(refused, 0);
+    // fhtAssoc 1 leaves a non-power-of-two FHT set count). Exact
+    // counts, so a knob or enum value that stops being probed shows.
+    EXPECT_EQ(built, 36);
+    EXPECT_EQ(refused, 4);
 }
 
 TEST(DesignKnobs, RefusedValuesNameTheProblem)
@@ -433,7 +428,7 @@ TEST(DesignKnobs, RefusedValuesNameTheProblem)
                   .find("must be a multiple of fhtAssoc"),
               std::string::npos);
     // Page masks are 32 bits wide in every footprint-tracking design.
-    for (const char *id : {"unison", "unisonwp", "alloyfp", "naiveblockfp"})
+    for (const char *id : {"unison", "alloyfp", "naiveblockfp"})
         EXPECT_NE(refusedOrBuilds(registry.byId(id), "pageBlocks",
                                   json::Value(40u))
                       .find("[1, 32]"),
@@ -447,8 +442,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DesignKind::Footprint, DesignKind::LohHill,
                       DesignKind::NaiveBlockFp,
                       DesignKind::NaiveTaggedPage, DesignKind::Ideal,
-                      DesignKind::NoDramCache, DesignKind::AlloyFp,
-                      DesignKind::UnisonWp),
+                      DesignKind::NoDramCache, DesignKind::AlloyFp),
     [](const ::testing::TestParamInfo<DesignKind> &info) {
         std::string n = designName(info.param);
         for (char &c : n)

@@ -12,7 +12,6 @@
 
 #include "baselines/naive_tagged_page.hh"
 #include "common/argparse.hh"
-#include "common/residue.hh"
 #include "core/alloy_fp.hh"
 #include "core/conflict_model.hh"
 #include "core/geometry.hh"
@@ -61,12 +60,6 @@ TEST(FailureModes, UnisonRequiresAMemoryPool)
     UnisonConfig cfg;
     cfg.capacityBytes = 128_MiB;
     EXPECT_DEATH(UnisonCache(cfg, nullptr), "memory pool");
-}
-
-TEST(FailureModes, ResidueDividerRejectsBadWidths)
-{
-    EXPECT_DEATH(MersenneDivider(1), "bits");
-    EXPECT_DEATH(MersenneDivider(32), "bits");
 }
 
 TEST(FailureModes, FootprintTableRejectsNonPowerOfTwoSets)

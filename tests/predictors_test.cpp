@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/unison_cache.hh"
 #include "predictors/footprint_table.hh"
 #include "predictors/miss_predictor.hh"
 #include "predictors/singleton_table.hh"
@@ -145,7 +146,7 @@ TEST(WayPredictor, PaperSizing)
 
 TEST(WayPredictor, AccuracyTracking)
 {
-    WayPredictor wp(12, 4);
+    UnisonWayPredictor wp(UnisonConfig{}, 16);
     wp.recordOutcome(true);
     wp.recordOutcome(true);
     wp.recordOutcome(false);

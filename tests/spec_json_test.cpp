@@ -91,6 +91,43 @@ TEST(SpecJson, KnobValuesSurviveTheRoundTrip)
     EXPECT_EQ(u.wayPredictorIndexBits, 16u);
 }
 
+TEST(SpecJson, WayPredictorAblationRoundTrips)
+{
+    UnisonConfig config;
+    config.wayPolicy = UnisonWayPolicy::PredictMru;
+    ExperimentSpec spec;
+    spec.design = config;
+    expectSpecRoundTrip(spec);
+
+    const std::string text = roundTripOnce(spec);
+    EXPECT_NE(text.find("\"wayPolicy\": \"predict-mru\""),
+              std::string::npos)
+        << text;
+    EXPECT_EQ(specFromJson(json::parse(text))
+                  .design.as<UnisonConfig>()
+                  .wayPolicy,
+              UnisonWayPolicy::PredictMru);
+}
+
+TEST(SpecJson, RetiredUnisonWpDesignIsRejected)
+{
+    // The way-predictor ablations are `unison` wayPolicy values; the
+    // old `unisonwp` id is an unknown design that names the real ones.
+    const std::string text =
+        mutateDocument(roundTripOnce(ExperimentSpec{}),
+                       "\"name\": \"unison\"", "\"name\": \"unisonwp\"");
+    try {
+        specFromJson(json::parse(text));
+        FAIL() << "design unisonwp should have been rejected";
+    } catch (const json::Error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unisonwp"), std::string::npos) << what;
+        EXPECT_NE(what.find("registered designs"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("unison,"), std::string::npos) << what;
+    }
+}
+
 TEST(SpecJson, CustomWorkloadAndMixRoundTrip)
 {
     ExperimentSpec custom;
@@ -387,10 +424,9 @@ TEST(SpecJson, ResultsDocumentSortsByIndex)
 TEST(DesignRegistryTable, SingleSourceOfNames)
 {
     const DesignRegistry &registry = DesignRegistry::instance();
-    EXPECT_EQ(registry.all().size(), 10u);
+    EXPECT_EQ(registry.all().size(), 9u);
     EXPECT_EQ(designName(DesignKind::Unison), "Unison Cache");
     EXPECT_EQ(designId(DesignKind::AlloyFp), "alloyfp");
-    EXPECT_EQ(designId(DesignKind::UnisonWp), "unisonwp");
     EXPECT_EQ(designId(DesignKind::NoDramCache), "nocache");
     EXPECT_EQ(registry.byId("Unison Cache").id, "unison");
     EXPECT_EQ(registry.byId("ALLOY").kind, DesignKind::Alloy);

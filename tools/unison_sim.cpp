@@ -325,6 +325,31 @@ tableOutput(const std::vector<ResultPoint> &points, bool csv)
     return csv ? t.toCsv() : t.toString();
 }
 
+/** Usage unless `format` is one writeResults can write; both output
+ *  paths call it before any simulation or connection. */
+void
+checkFormat(const std::string &format)
+{
+    if (format != "table" && format != "csv" && format != "json")
+        throwUsage("--format must be table, csv or json, got '", format,
+                   "'");
+}
+
+/** Write a results document as table, csv or json (checkFormat). */
+void
+writeResults(const std::string &out_path, const std::string &format,
+             const std::string &grid_name, const std::string &shard,
+             const std::string &grid_hash,
+             std::vector<ResultPoint> points)
+{
+    if (format == "json")
+        writeOutput(out_path,
+                    json::write(resultsToJson(grid_name, shard, grid_hash,
+                                              std::move(points))));
+    else
+        writeOutput(out_path, tableOutput(points, format == "csv"));
+}
+
 int
 runGrid(const std::string &grid_name, std::vector<GridPoint> points,
         const std::string &shard_text, int threads,
@@ -336,9 +361,9 @@ runGrid(const std::string &grid_name, std::vector<GridPoint> points,
     if (!memory_backend.empty()) {
         MemoryBackendKind kind;
         if (!memoryBackendFromId(memory_backend, kind))
-            fatal("--memory-backend: unknown backend '", memory_backend,
-                  "' (registered backends: ",
-                  commaJoin(memoryBackendIds()), ")");
+            throwUsage("--memory-backend: unknown backend '",
+                       memory_backend, "' (registered backends: ",
+                       commaJoin(memoryBackendIds()), ")");
         for (GridPoint &point : points)
             point.spec.system.memoryBackend = kind;
     }
@@ -406,17 +431,8 @@ runGrid(const std::string &grid_name, std::vector<GridPoint> points,
         out.push_back(std::move(point));
     }
 
-    if (format == "json") {
-        writeOutput(out_path,
-                    json::write(resultsToJson(grid_name, shard_text,
-                                              grid_hash,
-                                              std::move(out))));
-    } else if (format == "csv" || format == "table") {
-        writeOutput(out_path, tableOutput(out, format == "csv"));
-    } else {
-        fatal("--format must be table, csv or json, got '", format,
-              "'");
-    }
+    writeResults(out_path, format, grid_name, shard_text, grid_hash,
+                 std::move(out));
     return 0;
 }
 
@@ -490,6 +506,8 @@ submitCommand(int argc, char **argv)
     const std::string spec_path = args.getString("spec");
     if (spec_path.empty())
         throwUsage("submit needs --spec <file> (or --ping/--shutdown)");
+    const std::string format = args.getString("format");
+    checkFormat(format);
 
     serve::SubmitOutcome outcome = serve::submitGrid(
         connect, json::parse(readFile(spec_path)));
@@ -502,19 +520,8 @@ submitCommand(int argc, char **argv)
         static_cast<unsigned long long>(outcome.peerHits),
         static_cast<unsigned long long>(outcome.simulated));
 
-    const std::string format = args.getString("format");
-    if (format == "json") {
-        writeOutput(args.getString("out"),
-                    json::write(resultsToJson(
-                        outcome.gridName, "", outcome.gridHash,
-                        std::move(outcome.points))));
-    } else if (format == "csv" || format == "table") {
-        writeOutput(args.getString("out"),
-                    tableOutput(outcome.points, format == "csv"));
-    } else {
-        throwUsage("--format must be table, csv or json, got '",
-                   format, "'");
-    }
+    writeResults(args.getString("out"), format, outcome.gridName, "",
+                 outcome.gridHash, std::move(outcome.points));
     return 0;
 }
 
@@ -666,6 +673,8 @@ main(int argc, char **argv)
             return 0;
         }
 
+        const std::string format = args.getString("format");
+        checkFormat(format);
         if (!figure.empty()) {
             FigureOptions opts;
             opts.quick = args.getFlag("quick");
@@ -681,16 +690,14 @@ main(int argc, char **argv)
             }
             return runGrid(figure, std::move(points),
                            args.getString("shard"), threads,
-                           memory_backend,
-                           args.getString("format"),
+                           memory_backend, format,
                            args.getString("out"), store_dir);
         }
 
         GridFile grid = gridFromJson(json::parse(readFile(spec_path)));
         return runGrid(grid.name, std::move(grid.points),
                        args.getString("shard"), threads,
-                       memory_backend,
-                       args.getString("format"),
+                       memory_backend, format,
                        args.getString("out"), store_dir);
     } catch (const SimError &e) {
         exitWith(e.code(), e.what());
