@@ -3,7 +3,9 @@
  * Regenerates Table II (key characteristics of the three DRAM cache
  * schemes) and Table IV (Footprint Cache SRAM tag sizes/latencies)
  * from the geometry code -- no simulation needed; this validates the
- * structural arithmetic the designs are built on.
+ * structural arithmetic the designs are built on. The Footprint
+ * column reads FootprintGeometry, the Table II/IV facts the
+ * `footprint` design hands to the Unison body it is built on.
  */
 
 #include <cstdio>

@@ -271,6 +271,18 @@ foreach(bad "--format;xml" "--memory-backend;cycleexact")
   endif()
 endforeach()
 
+# An unknown --knobs design is usage too, and the message names the
+# registered designs (the retired `unisonwp` folded into `unison`).
+execute_process(
+  COMMAND ${UNISON_SIM_BIN} --knobs unisonwp
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+string(FIND "${err}" "unison," named)
+if(NOT rc EQUAL 2 OR named EQUAL -1)
+  message(FATAL_ERROR
+    "--knobs unisonwp must exit 2 (usage) naming unison, got ${rc}:\n"
+    "${err}")
+endif()
+
 file(WRITE ${WORK_DIR}/bad.json "{\"schema\": \"unison-grid/1\", ")
 execute_process(
   COMMAND ${UNISON_SIM_BIN} --spec ${WORK_DIR}/bad.json

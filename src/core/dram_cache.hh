@@ -132,7 +132,7 @@ enum class DramCacheKind : std::uint8_t
 {
     Unison,
     Alloy,
-    Footprint,
+    Footprint, //!< the UnisonCache body with SRAM tags
     LohHill,
     NaiveTaggedPage,
     Ideal,

@@ -7,7 +7,7 @@ namespace unison {
 UnisonGeometry
 UnisonGeometry::compute(std::uint64_t capacity_bytes,
                         std::uint32_t page_blocks, std::uint32_t assoc,
-                        std::uint32_t phys_addr_bits)
+                        std::uint32_t phys_addr_bits, bool sram_tags)
 {
     UNISON_ASSERT(page_blocks >= 1 && page_blocks <= 63,
                   "unsupported page size of ", page_blocks, " blocks");
@@ -28,8 +28,8 @@ UnisonGeometry::compute(std::uint64_t capacity_bytes,
     // the per-page tag word grows from 8 B to 12 B and the per-set
     // tag metadata read takes three bursts (~48 B for 4 ways).
     const std::uint32_t tag_word = phys_addr_bits <= 40 ? 8 : 12;
-    g.pageMetaBytes = tag_word + 8; // + the (PC, offset) word
-    g.tagBurstBytes = assoc * tag_word;
+    g.pageMetaBytes = sram_tags ? 0 : tag_word + 8; // + (PC, offset)
+    g.tagBurstBytes = sram_tags ? 0 : assoc * tag_word;
     g.numRows = capacity_bytes / kRowBytes;
 
     const std::uint64_t set_bytes =
@@ -88,14 +88,8 @@ FootprintGeometry::compute(std::uint64_t capacity_bytes)
     FootprintGeometry g;
     g.capacityBytes = capacity_bytes;
     g.numPages = capacity_bytes / (g.pageBlocks * kBlockBytes);
-    UNISON_ASSERT(g.numPages >= g.assoc,
-                  "capacity below one 32-way set");
-    g.numSets = g.numPages / g.assoc;
     g.sramTagBytes = g.numPages * 12; // 12 B/page, matches Table IV
     g.tagLatency = tagLatencyForCapacity(capacity_bytes);
-    g.pagesPerRowDiv.init(g.pagesPerRow);
-    g.pageBlocksDiv.init(g.pageBlocks);
-    g.numSetsDiv.init(g.numSets);
     return g;
 }
 

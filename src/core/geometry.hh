@@ -26,6 +26,10 @@ namespace unison {
  * eviction. A set is `assoc` pages plus their metadata; as many whole
  * sets as fit share one 8 KB row (two sets for 960 B pages), and a set
  * wider than a row (the 32-way ablation) spans consecutive rows.
+ *
+ * With the tags in SRAM (Footprint Cache: 2 KB pages, 32 ways) the
+ * rows hold payload only: no metadata bytes, no tag burst, and a
+ * 64 KB set spans eight rows of four pages each.
  */
 struct UnisonGeometry
 {
@@ -40,7 +44,7 @@ struct UnisonGeometry
     std::uint32_t waysPerRow = 0;  //!< valid when rowsPerSet > 1
 
     std::uint32_t pageBytes = 0;
-    std::uint32_t pageMetaBytes = 16;
+    std::uint32_t pageMetaBytes = 16; //!< 0 with SRAM tags
     std::uint32_t tagBurstBytes = 0; //!< per-set tag read (8 B x assoc)
 
     /**
@@ -60,13 +64,15 @@ struct UnisonGeometry
     FastDiv64 waysPerRowDiv;
     FastDiv64 numSetsDiv;
 
-    /** Compute the geometry; fatal on impossible configurations. */
+    /** Compute the geometry; fatal on impossible configurations.
+     *  `sram_tags` keeps the tags out of the rows (Footprint Cache). */
     static UnisonGeometry compute(std::uint64_t capacity_bytes,
                                   std::uint32_t page_blocks,
                                   std::uint32_t assoc,
-                                  std::uint32_t phys_addr_bits = 40);
+                                  std::uint32_t phys_addr_bits = 40,
+                                  bool sram_tags = false);
 
-    /** Row holding the set's tag metadata. */
+    /** First row of the set (the row holding its in-DRAM tags). */
     std::uint64_t
     rowOfSet(std::uint64_t set) const
     {
@@ -115,9 +121,12 @@ struct AlloyGeometry
 };
 
 /**
- * Footprint Cache geometry: 2 KB pages, 32-way sets, tags in SRAM
- * (12 B per page, matching Table IV's 0.8 MB @128 MB ... 50 MB @8 GB
- * progression), four pages per DRAM row.
+ * Footprint Cache's Table II / IV facts: 2 KB pages, 32-way sets, four
+ * pages per DRAM row, and an SRAM tag array of 12 B per page (matching
+ * Table IV's 0.8 MB @128 MB ... 50 MB @8 GB progression) whose lookup
+ * latency grows with capacity. The in-DRAM layout is UnisonGeometry's
+ * with `sram_tags`: the `footprint` design is the Unison Cache body
+ * with its tags in SRAM.
  */
 struct FootprintGeometry
 {
@@ -125,27 +134,14 @@ struct FootprintGeometry
     std::uint32_t pageBlocks = 32; //!< 2 KB pages
     std::uint32_t assoc = 32;
     std::uint64_t numPages = 0;
-    std::uint64_t numSets = 0;
     std::uint32_t pagesPerRow = 4;
     std::uint64_t sramTagBytes = 0;
     Cycle tagLatency = 0;          //!< Table IV
-
-    /** Invariant-divisor helpers for the per-access mapping. */
-    FastDiv64 pagesPerRowDiv;
-    FastDiv64 pageBlocksDiv;
-    FastDiv64 numSetsDiv;
 
     static FootprintGeometry compute(std::uint64_t capacity_bytes);
 
     /** Table IV: SRAM tag-array lookup latency for a capacity. */
     static Cycle tagLatencyForCapacity(std::uint64_t capacity_bytes);
-
-    /** DRAM row holding (set, way)'s data. */
-    std::uint64_t
-    dataRowOfWay(std::uint64_t set, std::uint32_t way) const
-    {
-        return pagesPerRowDiv.div(set * assoc + way);
-    }
 };
 
 } // namespace unison

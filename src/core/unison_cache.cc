@@ -1,9 +1,11 @@
 /**
  * @file
- * Registry entry for Unison Cache. The cache body itself is
- * header-resident in unison_cache.hh; this file only describes the
- * design -- names, knobs, validation, factory -- to the design
- * registry.
+ * Registry entries for the two designs of the Unison Cache body:
+ * `unison` (tags in the stacked DRAM rows) and `footprint` (Footprint
+ * Cache: the same body with SRAM tags, 2 KB pages and 32-way sets).
+ * The body itself is header-resident in unison_cache.hh; this file
+ * only describes the designs -- names, knobs, validation, factory --
+ * to the design registry.
  */
 
 #include "core/unison_cache.hh"
@@ -85,6 +87,53 @@ unisonDesignInfo()
         cfg.stackedOrg.backend = ctx.backend;
         cfg.numCores = ctx.numCores;
         return std::make_unique<UnisonCache>(cfg, offchip);
+    };
+    return info;
+}
+
+DesignInfo
+footprintDesignInfo()
+{
+    DesignInfo info;
+    info.kind = DesignKind::Footprint;
+    info.id = "footprint";
+    info.name = "Footprint Cache";
+    info.shortName = "Footprint";
+    info.summary = "page-based, 32-way, SRAM tag array that grows with "
+                   "capacity (Jevdjic et al., ISCA'13)";
+    info.defaults = FootprintCacheConfig{};
+    info.knobs = {
+        knobBool<FootprintCacheConfig>(
+            "footprintPrediction",
+            "fetch predicted footprints (false: whole pages)",
+            &FootprintCacheConfig::footprintPredictionEnabled),
+        knobBool<FootprintCacheConfig>(
+            "singletonPrediction",
+            "bypass pages predicted to be singletons",
+            &FootprintCacheConfig::singletonEnabled),
+        knobUInt<FootprintCacheConfig>(
+            "tagLatency",
+            "SRAM tag latency override in cycles (0 = Table IV)",
+            &FootprintCacheConfig::tagLatencyOverride, 0, 1000),
+    };
+    info.build = [](const DesignVariant &v,
+                    const DesignBuildContext &ctx,
+                    MemoryBackend *offchip) -> std::unique_ptr<DramCache> {
+        const FootprintCacheConfig &fc = std::get<FootprintCacheConfig>(v);
+        const FootprintGeometry g =
+            FootprintGeometry::compute(ctx.capacityBytes);
+        UnisonConfig cfg;
+        cfg.capacityBytes = ctx.capacityBytes;
+        cfg.pageBlocks = g.pageBlocks;
+        cfg.assoc = g.assoc;
+        cfg.wayPolicy = UnisonWayPolicy::SerialTag;
+        cfg.footprintPredictionEnabled = fc.footprintPredictionEnabled;
+        cfg.singletonEnabled = fc.singletonEnabled;
+        cfg.stackedOrg.backend = ctx.backend;
+        return std::make_unique<UnisonCache>(
+            cfg, offchip,
+            fc.tagLatencyOverride != 0 ? fc.tagLatencyOverride
+                                       : g.tagLatency);
     };
     return info;
 }

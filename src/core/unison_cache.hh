@@ -26,6 +26,16 @@
  * (second insight, with an optional MAP-I ablation); and block state
  * uses the Footprint Cache V/D encoding so footprints can be learned
  * without extra storage (Sec. III-A.2).
+ *
+ * The same body is the `footprint` design (Footprint Cache, Jevdjic
+ * et al., ISCA 2013): Unison Cache with its tags moved back into SRAM.
+ * Where the tags live is a constructor argument, not a knob: given an
+ * SRAM tag latency (Table IV, 6-48 cycles depending on capacity), every
+ * access resolves its tag that many cycles after it starts, no tag
+ * burst or metadata bytes touch the stacked rows, and reads take the
+ * serial tag-then-data path with no way predictor. Misses are thus
+ * detected at SRAM speed, while the tag array grows with capacity --
+ * the scalability problem Unison Cache exists to remove.
  */
 
 #ifndef UNISON_CORE_UNISON_CACHE_HH
@@ -34,6 +44,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,6 +116,19 @@ struct UnisonConfig
     DramTimingParams stackedTiming = stackedDramTiming();
 
     int numCores = 16; //!< for the MAP-I ablation predictor
+};
+
+/** The `footprint` design's knobs. Its registry entry builds the
+ *  Unison Cache body from them with SRAM tags, FootprintGeometry's
+ *  2 KB pages and 32-way sets, and UnisonConfig's other defaults. */
+struct FootprintCacheConfig
+{
+    /** Fetch predicted footprints (false: whole pages). */
+    bool footprintPredictionEnabled = true;
+    bool singletonEnabled = true;
+
+    /** 0 uses Table IV's latency for the capacity. */
+    Cycle tagLatencyOverride = 0;
 };
 
 /**
@@ -195,13 +219,17 @@ class UnisonWayPredictor
 };
 
 /**
- * The Unison Cache body. `final`, so the kind-tag dispatch in
- * System::run devirtualizes: zero virtual calls on the access path.
+ * The Unison Cache body, and with `sram_tag_latency` the Footprint
+ * Cache body (tagged DramCacheKind::Footprint, named "Footprint";
+ * requires the `serial-tag` way policy). `final`, so the kind-tag
+ * dispatch in System::run devirtualizes: zero virtual calls on the
+ * access path.
  */
 class UnisonCache final : public DramCache
 {
   public:
-    UnisonCache(const UnisonConfig &config, MemoryBackend *offchip);
+    UnisonCache(const UnisonConfig &config, MemoryBackend *offchip,
+                std::optional<Cycle> sram_tag_latency = std::nullopt);
 
     DramCacheResult access(const DramCacheRequest &req) override;
 
@@ -215,6 +243,8 @@ class UnisonCache final : public DramCache
 
     const UnisonConfig &config() const { return config_; }
     const UnisonGeometry &geometry() const { return geometry_; }
+    /** The SRAM tag-array latency; empty when tags live in DRAM. */
+    std::optional<Cycle> sramTagLatency() const { return sramTagLatency_; }
     const WayPredictorStats &wayPredictorStats() const
     {
         return wayPred_.stats();
@@ -252,7 +282,8 @@ class UnisonCache final : public DramCache
     {
         org_.saveState(out);
         stacked_->saveState(out);
-        wayPred_.saveState(out);
+        if (!sramTagLatency_)
+            wayPred_.saveState(out);
         fetchPolicy_.saveState(out);
         if (missPred_)
             missPred_->saveState(out);
@@ -265,7 +296,8 @@ class UnisonCache final : public DramCache
     {
         org_.loadState(in);
         stacked_->loadState(in);
-        wayPred_.loadState(in);
+        if (!sramTagLatency_)
+            wayPred_.loadState(in);
         fetchPolicy_.loadState(in);
         if (missPred_)
             missPred_->loadState(in);
@@ -293,12 +325,26 @@ class UnisonCache final : public DramCache
     PageWaySoa &ways() { return org_.ways(); }
     const PageWaySoa &ways() const { return org_.ways(); }
 
+    /** When the set's tags resolve for a probe issued at `start`:
+     *  after the SRAM lookup, or after the in-DRAM tag burst. */
+    Cycle
+    resolveTag(std::uint64_t set, Cycle start)
+    {
+        if (sramTagLatency_)
+            return start + *sramTagLatency_;
+        return stacked_
+            ->rowAccess(geometry_.rowOfSet(set), geometry_.tagBurstBytes,
+                        /*is_write=*/false, start)
+            .completion;
+    }
+
     /**
-     * Time the overlapped tag + data reads that start every probe.
-     * Returns the tag-resolve cycle and the predicted-way data cycle.
+     * Time the data read a read probe issues in unison with its tag
+     * read: the predicted way, or every way under `fetch-all`. Returns
+     * 0 under `serial-tag`, whose data read waits for the tag.
      */
-    void issueProbeReads(const Location &loc, std::uint32_t pred_way,
-                         Cycle start, Cycle &tag_done, Cycle &data_done);
+    Cycle issueDataProbe(const Location &loc, std::uint32_t pred_way,
+                         Cycle start);
 
     /** Service a hit to a fetched block. */
     DramCacheResult serveBlockHit(const DramCacheRequest &req,
@@ -339,6 +385,7 @@ class UnisonCache final : public DramCache
     }
 
     UnisonConfig config_;
+    std::optional<Cycle> sramTagLatency_; //!< set: Footprint Cache
     UnisonGeometry geometry_;
 
     /** CacheOrganization: page split + set metadata (hot/cold SoA). */
@@ -364,14 +411,20 @@ class UnisonCache final : public DramCache
 
 // ------------------------------------------------- member bodies
 // (header-resident: the System timing loop monomorphizes on the
-// concrete type, so access() inlines with no virtual calls)
+// concrete type, so access() is a direct call the compiler may inline,
+// with no virtual dispatch)
 
 inline UnisonCache::UnisonCache(const UnisonConfig &config,
-                                MemoryBackend *offchip)
-    : DramCache(offchip, DramCacheKind::Unison),
+                                MemoryBackend *offchip,
+                                std::optional<Cycle> sram_tag_latency)
+    : DramCache(offchip, sram_tag_latency ? DramCacheKind::Footprint
+                                          : DramCacheKind::Unison),
       config_(config),
+      sramTagLatency_(sram_tag_latency),
       geometry_(UnisonGeometry::compute(config.capacityBytes,
-                                        config.pageBlocks, config.assoc)),
+                                        config.pageBlocks, config.assoc,
+                                        /*phys_addr_bits=*/40,
+                                        sram_tag_latency.has_value())),
       stacked_(makeMemoryBackend(config.stackedOrg, config.stackedTiming)),
       wayPred_(config, geometry_.numSets),
       fetchPolicy_([&] {
@@ -388,6 +441,9 @@ inline UnisonCache::UnisonCache(const UnisonConfig &config,
     UNISON_ASSERT(config_.pageBlocks <= kMaxPageBlocks,
                   "page masks are 32 bits wide; pageBlocks = ",
                   config_.pageBlocks);
+    UNISON_ASSERT(!sramTagLatency_ ||
+                      config_.wayPolicy == UnisonWayPolicy::SerialTag,
+                  "SRAM tags resolve before the data read: serial-tag");
     if (config_.missPolicy == UnisonMissPolicy::MapI) {
         MissPredictorConfig mp;
         mp.numCores = config_.numCores;
@@ -401,6 +457,8 @@ inline UnisonCache::UnisonCache(const UnisonConfig &config,
 inline std::string
 UnisonCache::name() const
 {
+    if (sramTagLatency_)
+        return "Footprint";
     std::string suffix;
     if (config_.wayPolicy == UnisonWayPolicy::PredictMru)
         suffix = "+wp=mru";
@@ -421,27 +479,19 @@ UnisonCache::resetStats()
         missPred_->resetStats();
 }
 
-inline void
-UnisonCache::issueProbeReads(
-    const Location &loc, std::uint32_t pred_way, Cycle start,
-    Cycle &tag_done, Cycle &data_done)
+inline Cycle
+UnisonCache::issueDataProbe(const Location &loc, std::uint32_t pred_way,
+                            Cycle start)
 {
-    // Tag burst first, then the speculative data read: back-to-back
-    // commands to the same row; the channel model overlaps the row
-    // activation and serializes only the bus bursts (Sec. III-A).
-    const std::uint64_t tag_row = geometry_.rowOfSet(loc.set);
-    tag_done = stacked_
-                   ->rowAccess(tag_row, geometry_.tagBurstBytes,
-                               /*is_write=*/false, start)
-                   .completion;
-
-    if (config_.wayPolicy == UnisonWayPolicy::SerialTag) {
-        data_done = 0; // the data read is issued after tag resolve
-        return;
-    }
+    // Issued right behind the tag burst: back-to-back commands to the
+    // same row; the channel model overlaps the row activation and
+    // serializes only the bus bursts (Sec. III-A).
+    if (config_.wayPolicy == UnisonWayPolicy::SerialTag)
+        return 0;
 
     if (config_.wayPolicy == UnisonWayPolicy::FetchAll) {
         // Stream every way of the set (possibly from several rows).
+        const std::uint64_t tag_row = geometry_.rowOfSet(loc.set);
         Cycle done = 0;
         if (geometry_.rowsPerSet == 1) {
             done = stacked_
@@ -460,15 +510,13 @@ UnisonCache::issueProbeReads(
                         .completion);
             }
         }
-        data_done = done;
-        return;
+        return done;
     }
 
     const std::uint64_t data_row = geometry_.dataRowOfWay(loc.set,
                                                           pred_way);
-    data_done = stacked_
-                    ->rowAccess(data_row, kBlockBytes, false, start)
-                    .completion;
+    return stacked_->rowAccess(data_row, kBlockBytes, false, start)
+        .completion;
 }
 
 inline DramCacheResult
@@ -698,17 +746,10 @@ UnisonCache::access(const DramCacheRequest &req)
             ? wayPred_.predict(loc.page, loc.set)
             : 0;
 
-    // Probe: tag burst (+ overlapped speculative data read for reads).
-    Cycle tag_done = 0;
-    Cycle data_done = 0;
-    if (req.isWrite) {
-        tag_done = stacked_
-                       ->rowAccess(geometry_.rowOfSet(loc.set),
-                                   geometry_.tagBurstBytes, false, start)
-                       .completion;
-    } else {
-        issueProbeReads(loc, pred_way, start, tag_done, data_done);
-    }
+    // Probe: tag resolve (+ overlapped speculative data read for reads).
+    const Cycle tag_done = resolveTag(loc.set, start);
+    const Cycle data_done =
+        req.isWrite ? 0 : issueDataProbe(loc, pred_way, start);
 
     const int way = findWay(loc.set, loc.tag);
     const bool block_hit =

@@ -125,17 +125,13 @@ DesignRegistry::find(const std::string &id_or_name) const
     return nullptr;
 }
 
-const DesignInfo &
-DesignRegistry::byId(const std::string &id_or_name) const
+std::string
+DesignRegistry::idList() const
 {
-    const DesignInfo *info = find(id_or_name);
-    if (info != nullptr)
-        return *info;
-    std::vector<std::string> known;
-    for (const DesignInfo &candidate : infos_)
-        known.push_back(candidate.id);
-    fatal("unknown design '", id_or_name, "' (registered designs: ",
-          commaJoin(known), ")");
+    std::vector<std::string> ids;
+    for (const DesignInfo &info : infos_)
+        ids.push_back(info.id);
+    return commaJoin(ids);
 }
 
 const DesignInfo &

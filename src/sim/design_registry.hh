@@ -17,12 +17,14 @@
  *    its knob table, with unknown knobs rejected.
  *
  * Each design defines its own `DesignInfo` next to its implementation
- * (the baselines/ and core/ source files) and the registry pulls them
- * in once on first use. The variant is deliberately closed: adding a
- * design means one new source file plus a DesignKind enumerator, a
- * DesignVariant alternative and an add() call here (see README
- * "Adding a new cache design"); add() rejects duplicate ids and kinds
- * so every registered design stays reachable.
+ * (the baselines/ and core/ source files; designs that share one body,
+ * such as `unison`/`footprint` and `alloyfp`/`naiveblockfp`, share its
+ * file) and the registry pulls them in once on first use. The variant
+ * is deliberately closed: adding a design means one new source file
+ * plus a DesignKind enumerator, a DesignVariant alternative and an
+ * add() call here (see README "Adding a new cache design"); add()
+ * rejects duplicate ids and kinds so every registered design stays
+ * reachable.
  */
 
 #ifndef UNISON_SIM_DESIGN_REGISTRY_HH
@@ -36,7 +38,6 @@
 #include <vector>
 
 #include "baselines/alloy_cache.hh"
-#include "baselines/footprint_cache.hh"
 #include "baselines/ideal_cache.hh"
 #include "baselines/lohhill_cache.hh"
 #include "baselines/naive_tagged_page.hh"
@@ -144,9 +145,9 @@ class DesignRegistry
      *  normalizedNameKey); nullptr when unknown. */
     const DesignInfo *find(const std::string &id_or_name) const;
 
-    /** find() that fails with a fatal() listing the registered ids --
-     *  the CLI-facing variant. */
-    const DesignInfo &byId(const std::string &id_or_name) const;
+    /** The registered ids, comma-separated, for "unknown design"
+     *  messages. */
+    std::string idList() const;
 
     const DesignInfo &byKind(DesignKind kind) const;
 
@@ -228,7 +229,7 @@ std::string designId(DesignKind kind);
 /**@{*/
 DesignInfo unisonDesignInfo();          // src/core/unison_cache.cc
 DesignInfo alloyDesignInfo();           // src/baselines/alloy_cache.cc
-DesignInfo footprintDesignInfo();       // src/baselines/footprint_cache.cc
+DesignInfo footprintDesignInfo();       // src/core/unison_cache.cc
 DesignInfo lohHillDesignInfo();         // src/baselines/lohhill_cache.cc
 DesignInfo naiveBlockFpDesignInfo();    // src/core/alloy_fp.cc
 DesignInfo naiveTaggedPageDesignInfo(); // src/baselines/naive_tagged_page.cc

@@ -249,15 +249,10 @@ designFromJson(const Value &value)
     }();
     const DesignInfo *info =
         DesignRegistry::instance().find(name.asString());
-    if (info == nullptr) {
-        std::vector<std::string> known;
-        for (const DesignInfo &candidate :
-             DesignRegistry::instance().all())
-            known.push_back(candidate.id);
+    if (info == nullptr)
         throw json::Error("unknown design '" + name.asString() +
-                          "' (registered designs: " + commaJoin(known) +
-                          ")");
-    }
+                          "' (registered designs: " +
+                          DesignRegistry::instance().idList() + ")");
 
     ObjectReader r(value, "design '" + info->id + "'");
     r.req("name");

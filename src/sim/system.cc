@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/state_io.hh"
 #include "baselines/alloy_cache.hh"
-#include "baselines/footprint_cache.hh"
 #include "baselines/ideal_cache.hh"
 #include "baselines/lohhill_cache.hh"
 #include "baselines/naive_tagged_page.hh"
@@ -117,13 +116,11 @@ System::dispatchCache(Source &source, std::uint64_t total_accesses)
     DramCache &cache = *cache_;
     switch (cache.kind()) {
       case DramCacheKind::Unison:
+      case DramCacheKind::Footprint: // the Unison body with SRAM tags
         return runLoop(source, static_cast<UnisonCache &>(cache),
                        total_accesses);
       case DramCacheKind::Alloy:
         return runLoop(source, static_cast<AlloyCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::Footprint:
-        return runLoop(source, static_cast<FootprintCache &>(cache),
                        total_accesses);
       case DramCacheKind::LohHill:
         return runLoop(source, static_cast<LohHillCache &>(cache),

@@ -423,13 +423,13 @@ TEST(DesignKnobs, RefusedValuesNameTheProblem)
     const DesignRegistry &registry = DesignRegistry::instance();
     // An FHT of 3 entries cannot be split into power-of-two sets of
     // the default associativity.
-    EXPECT_NE(refusedOrBuilds(registry.byId("alloyfp"), "fhtEntries",
+    EXPECT_NE(refusedOrBuilds(*registry.find("alloyfp"), "fhtEntries",
                               json::Value(3u))
                   .find("must be a multiple of fhtAssoc"),
               std::string::npos);
     // Page masks are 32 bits wide in every footprint-tracking design.
     for (const char *id : {"unison", "alloyfp", "naiveblockfp"})
-        EXPECT_NE(refusedOrBuilds(registry.byId(id), "pageBlocks",
+        EXPECT_NE(refusedOrBuilds(*registry.find(id), "pageBlocks",
                                   json::Value(40u))
                       .find("[1, 32]"),
                   std::string::npos)

@@ -1,32 +1,52 @@
 /**
  * @file
- * Tests for the Footprint Cache baseline: geometry and Table IV tag
- * latencies/sizes, 32-way LRU, the SRAM-tag fast-miss path, and the
- * shared footprint machinery.
+ * Tests for the `footprint` design -- the Unison Cache body with SRAM
+ * tags, built through its registry entry: 32-way LRU, the SRAM-tag
+ * fast-miss path, and the shared footprint machinery. The Table IV
+ * tag sizes and latencies are pinned in geometry_param_test.cpp.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "baselines/footprint_cache.hh"
 #include "common/rng.hh"
+#include "core/unison_cache.hh"
 #include "dram/dram.hh"
+#include "sim/design_registry.hh"
 
 namespace unison {
 namespace {
 
+/** Build `footprint` the way an experiment does, through the registry
+ *  entry that maps FootprintCacheConfig onto the Unison body. */
+std::unique_ptr<UnisonCache>
+buildFootprint(MemoryBackend &offchip, std::uint64_t capacity,
+               Cycle tag_latency_override = 0)
+{
+    FootprintCacheConfig cfg;
+    cfg.tagLatencyOverride = tag_latency_override;
+    DesignBuildContext ctx;
+    ctx.capacityBytes = capacity;
+    std::unique_ptr<DramCache> built =
+        DesignRegistry::instance()
+            .byKind(DesignKind::Footprint)
+            .build(cfg, ctx, &offchip);
+    EXPECT_EQ(built->kind(), DramCacheKind::Footprint);
+    EXPECT_EQ(built->name(), "Footprint");
+    return std::unique_ptr<UnisonCache>(
+        static_cast<UnisonCache *>(built.release()));
+}
+
 struct Rig
 {
     DramModule offchip{offChipDramOrganization(), offChipDramTiming()};
-    std::unique_ptr<FootprintCache> cache;
+    std::unique_ptr<UnisonCache> cache;
     Cycle clock = 0;
 
     explicit Rig(std::uint64_t capacity = 4_MiB)
+        : cache(buildFootprint(offchip, capacity))
     {
-        FootprintCacheConfig cfg;
-        cfg.capacityBytes = capacity;
-        cache = std::make_unique<FootprintCache>(cfg, &offchip);
     }
 
     Addr
@@ -58,49 +78,6 @@ struct Rig
     }
 };
 
-TEST(FootprintGeometry, TableIVTagSizes)
-{
-    // Table IV: tags 0.8 / 1.58 / 3.12 / 6.2 / 12.5 / 25 / 50 MB for
-    // 128 MB ... 8 GB caches.
-    struct Row
-    {
-        std::uint64_t cap;
-        double tag_mb;
-    };
-    const Row rows[] = {
-        {128_MiB, 0.8}, {256_MiB, 1.58}, {512_MiB, 3.12}, {1_GiB, 6.2},
-        {2_GiB, 12.5},  {4_GiB, 25.0},   {8_GiB, 50.0},
-    };
-    for (const Row &r : rows) {
-        const FootprintGeometry g = FootprintGeometry::compute(r.cap);
-        const double mb =
-            static_cast<double>(g.sramTagBytes) / (1024.0 * 1024.0);
-        EXPECT_NEAR(mb, r.tag_mb, r.tag_mb * 0.25)
-            << "capacity " << r.cap;
-    }
-}
-
-TEST(FootprintGeometry, TableIVTagLatencies)
-{
-    EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(128_MiB), 6u);
-    EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(256_MiB), 9u);
-    EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(512_MiB), 11u);
-    EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(1_GiB), 16u);
-    EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(2_GiB), 25u);
-    EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(4_GiB), 36u);
-    EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(8_GiB), 48u);
-}
-
-TEST(FootprintGeometry, ThirtyTwoWayTwoKbPages)
-{
-    const FootprintGeometry g = FootprintGeometry::compute(512_MiB);
-    EXPECT_EQ(g.pageBlocks, 32u);
-    EXPECT_EQ(g.assoc, 32u);
-    EXPECT_EQ(g.pagesPerRow, 4u); // 8 KB row = four 2 KB pages
-    EXPECT_EQ(g.numPages, 512_MiB / 2048);
-    EXPECT_EQ(g.numSets, g.numPages / 32);
-}
-
 TEST(FootprintCache, HitAfterAllocation)
 {
     Rig rig;
@@ -113,18 +90,16 @@ TEST(FootprintCache, TagLatencyOnEveryAccess)
 {
     // A miss is detected after only the SRAM tag latency: the done
     // time of a miss must not include a stacked-DRAM tag read.
-    FootprintCacheConfig cfg;
-    cfg.capacityBytes = 4_MiB;
-    cfg.tagLatencyOverride = 11;
     DramModule offchip(offChipDramOrganization(), offChipDramTiming());
-    FootprintCache cache(cfg, &offchip);
-    EXPECT_EQ(cache.tagLatency(), 11u);
+    const std::unique_ptr<UnisonCache> cache =
+        buildFootprint(offchip, 4_MiB, 11);
+    EXPECT_EQ(cache->sramTagLatency().value_or(0), 11u);
 
     DramCacheRequest req;
     req.addr = 0;
     req.pc = 0x400000;
     req.cycle = 10000;
-    const DramCacheResult res = cache.access(req);
+    const DramCacheResult res = cache->access(req);
     // Miss path: tag (11) + off-chip fetch; the unloaded off-chip
     // conflict read is ~141 cycles.
     const Cycle latency = res.doneAt - req.cycle;

@@ -292,21 +292,79 @@ INSTANTIATE_TEST_SUITE_P(
         return std::to_string(info.param.capacity / (1 << 20)) + "MiB";
     });
 
-TEST(FootprintGeometryPaper, StructuralInvariants)
-{
-    const FootprintGeometry g = FootprintGeometry::compute(1_GiB);
-    EXPECT_EQ(g.pageBlocks, 32u);  // 2 KB pages
-    EXPECT_EQ(g.assoc, 32u);
-    EXPECT_EQ(g.pagesPerRow, 4u);  // Sec. IV-C.2: 4 pages, 128 blocks
-    EXPECT_EQ(g.numPages, 1_GiB / 2048);
-    EXPECT_EQ(g.numSets * g.assoc, g.numPages);
-}
-
 TEST(FootprintGeometryPaper, LatencyExtrapolatesBeyondTable)
 {
     // Beyond 8 GB the model adds 12 cycles per doubling.
     EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(16_GiB), 60u);
     EXPECT_EQ(FootprintGeometry::tagLatencyForCapacity(32_GiB), 72u);
+}
+
+// ---------------------------------------------------------------------
+// UnisonGeometry with SRAM tags: the `footprint` design's rows
+// ---------------------------------------------------------------------
+
+/** The `footprint` layout: Table II's 2 KB pages and 32 ways on the
+ *  Unison geometry with the tags kept in SRAM. */
+UnisonGeometry
+footprintLayout(std::uint64_t capacity)
+{
+    const FootprintGeometry fc = FootprintGeometry::compute(capacity);
+    return UnisonGeometry::compute(capacity, fc.pageBlocks, fc.assoc, 40,
+                                   /*sram_tags=*/true);
+}
+
+class SramTagLayout : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(SramTagLayout, MatchesFootprintCacheRows)
+{
+    const std::uint64_t cap = GetParam();
+    const UnisonGeometry g = footprintLayout(cap);
+    EXPECT_EQ(g.pageMetaBytes, 0u);
+    EXPECT_EQ(g.tagBurstBytes, 0u);
+    EXPECT_EQ(g.inDramTagBytes, 0u);
+    // 64 KiB sets span eight rows of four 2 KB pages, so way `w` of
+    // set `s` is the (32 s + w)-th page of the array.
+    EXPECT_EQ(g.numSets, cap / 65536);
+    for (const std::uint64_t set : {std::uint64_t{0}, g.numSets / 2,
+                                    g.numSets - 1}) {
+        for (std::uint32_t way = 0; way < 32; ++way)
+            EXPECT_EQ(g.dataRowOfWay(set, way), (32 * set + way) / 4)
+                << "set " << set << " way " << way;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Capacities, SramTagLayout,
+    ::testing::Values(128_MiB, 256_MiB, 512_MiB, 1_GiB, 2_GiB, 4_GiB,
+                      8_GiB),
+    [](const ::testing::TestParamInfo<std::uint64_t> &info) {
+        return std::to_string(info.param / (1 << 20)) + "MiB";
+    });
+
+TEST(FootprintGeometryPaper, StructuralInvariants)
+{
+    const FootprintGeometry fc = FootprintGeometry::compute(1_GiB);
+    const UnisonGeometry g = footprintLayout(1_GiB);
+    EXPECT_EQ(g.pageBlocks, 32u);  // 2 KB pages
+    EXPECT_EQ(g.assoc, 32u);
+    EXPECT_EQ(fc.pagesPerRow, 4u); // Sec. IV-C.2: 4 pages, 128 blocks
+    EXPECT_EQ(g.waysPerRow, fc.pagesPerRow);
+    EXPECT_EQ(g.blocksPerRow, 128u);
+    EXPECT_EQ(fc.numPages, 1_GiB / 2048);
+    EXPECT_EQ(g.numSets * g.assoc, fc.numPages);
+}
+
+TEST(FootprintGeometry, ThirtyTwoWayTwoKbPages)
+{
+    const FootprintGeometry fc = FootprintGeometry::compute(512_MiB);
+    const UnisonGeometry g = footprintLayout(512_MiB);
+    EXPECT_EQ(g.pageBlocks, 32u);
+    EXPECT_EQ(g.assoc, 32u);
+    EXPECT_EQ(g.waysPerRow, 4u); // 8 KB row = four 2 KB pages
+    EXPECT_EQ(fc.numPages, 512_MiB / 2048);
+    EXPECT_EQ(g.numSets, fc.numPages / 32);
 }
 
 } // namespace

@@ -428,8 +428,8 @@ TEST(DesignRegistryTable, SingleSourceOfNames)
     EXPECT_EQ(designName(DesignKind::Unison), "Unison Cache");
     EXPECT_EQ(designId(DesignKind::AlloyFp), "alloyfp");
     EXPECT_EQ(designId(DesignKind::NoDramCache), "nocache");
-    EXPECT_EQ(registry.byId("Unison Cache").id, "unison");
-    EXPECT_EQ(registry.byId("ALLOY").kind, DesignKind::Alloy);
+    EXPECT_EQ(registry.find("Unison Cache")->id, "unison");
+    EXPECT_EQ(registry.find("ALLOY")->kind, DesignKind::Alloy);
     EXPECT_EQ(registry.find("no-such-design"), nullptr);
 }
 

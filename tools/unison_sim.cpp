@@ -183,8 +183,12 @@ listBackends()
 void
 listKnobs(const std::string &design_id)
 {
-    const DesignInfo &info =
-        DesignRegistry::instance().byId(design_id);
+    const DesignRegistry &registry = DesignRegistry::instance();
+    const DesignInfo *found = registry.find(design_id);
+    if (found == nullptr)
+        throwUsage("--knobs: unknown design '", design_id,
+                   "' (registered designs: ", registry.idList(), ")");
+    const DesignInfo &info = *found;
     std::printf("%s (%s): %s\n", info.id.c_str(), info.name.c_str(),
                 info.summary.c_str());
     if (info.knobs.empty()) {
