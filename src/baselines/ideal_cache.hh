@@ -30,7 +30,7 @@ class IdealCache final : public DramCache
 {
   public:
     IdealCache(const IdealConfig &config, MemoryBackend *offchip)
-        : DramCache(offchip, DramCacheKind::Ideal),
+        : DramCache(offchip),
           config_(config),
           stacked_(makeMemoryBackend(config.stackedOrg, config.stackedTiming))
     {

@@ -30,7 +30,7 @@ LohHillGeometry::compute(std::uint64_t capacity_bytes)
 }
 
 LohHillCache::LohHillCache(const LohHillConfig &config, MemoryBackend *offchip)
-    : DramCache(offchip, DramCacheKind::LohHill),
+    : DramCache(offchip),
       config_(config),
       geometry_(LohHillGeometry::compute(config.capacityBytes)),
       stacked_(makeMemoryBackend(config.stackedOrg, config.stackedTiming))

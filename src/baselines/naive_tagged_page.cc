@@ -29,7 +29,7 @@ NaiveTaggedPageGeometry::compute(std::uint64_t capacity_bytes)
 
 NaiveTaggedPageCache::NaiveTaggedPageCache(
     const NaiveTaggedPageConfig &config, MemoryBackend *offchip)
-    : DramCache(offchip, DramCacheKind::NaiveTaggedPage),
+    : DramCache(offchip),
       config_(config),
       geometry_(NaiveTaggedPageGeometry::compute(config.capacityBytes)),
       stacked_(makeMemoryBackend(config.stackedOrg, config.stackedTiming)),

@@ -24,7 +24,7 @@ class NoCache final : public DramCache
 {
   public:
     explicit NoCache(MemoryBackend *offchip)
-        : DramCache(offchip, DramCacheKind::NoCache)
+        : DramCache(offchip)
     {
     }
 

@@ -53,8 +53,10 @@ struct HierarchyOutcome
 
 /**
  * Per-core L1s in front of one shared L2. The caches are stored by
- * value (no per-access pointer chase), and access() is inline: it is
- * the front door of every simulated reference.
+ * value (no per-access pointer chase). access() is the front door of
+ * every simulated reference: the Release LTO build inlines it into
+ * the timing loop (System::run), but its calls to
+ * SetAssocCache::access stay out of line.
  */
 class CacheHierarchy
 {

@@ -53,7 +53,12 @@ struct PageWayCold
     std::uint32_t predicted = 0; //!< predicted-footprint mask
     std::uint8_t trigger = 0;    //!< trigger block offset
     std::uint8_t gen = 0;        //!< measurement generation
+    /** Named tail padding, zeroed so warm snapshots (which write this
+     *  struct as raw bytes) are deterministic. */
+    std::uint8_t pad[2] = {};
 };
+static_assert(sizeof(PageWayCold) == 12,
+              "warm-snapshot page-way records keep their layout");
 
 /** Metadata installed when a page is allocated into a way (Fig. 2:
  *  tag, bit vectors, trigger PC + offset, measurement generation). */

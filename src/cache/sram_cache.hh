@@ -84,9 +84,9 @@ class SetAssocCache
 
     /**
      * Access (and on miss, allocate) the block containing `addr`.
-     * Writes mark the block dirty. Defined inline: this is the first
-     * thing every simulated reference does, and it must inline into
-     * the timing loop even without LTO.
+     * Writes mark the block dirty. Defined in the class, but the
+     * Release LTO build calls it out of line from the timing loop
+     * (through the inlined CacheHierarchy::access).
      */
     SramAccessResult
     access(Addr addr, bool is_write)

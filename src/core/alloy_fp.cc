@@ -13,7 +13,7 @@ namespace unison {
 AlloyFpCache::AlloyFpCache(const AlloyFpConfig &config,
                            MemoryBackend *offchip,
                            BlockFpMetadata metadata)
-    : DramCache(offchip, DramCacheKind::AlloyFp),
+    : DramCache(offchip),
       config_(config),
       inDram_(metadata == BlockFpMetadata::InDram),
       geometry_(AlloyGeometry::compute(config.capacityBytes)),

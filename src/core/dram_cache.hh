@@ -119,27 +119,20 @@ struct DramCacheStats
 };
 
 /**
- * Concrete-type tag of a DramCache instance.
- *
- * The timing loop (System::runLoop) is monomorphized per concrete
- * cache type so access() devirtualizes and inlines; this tag is how
- * the once-per-run dispatch recovers the concrete type without a
- * dynamic_cast chain. Every design the experiment factory can build
- * carries its own tag; `Other` is the explicit opt-in for out-of-tree
- * subclasses, which take the generic virtual-dispatch loop.
+ * Concrete-type tag of a DramCache instance, for the result fields
+ * only some designs have: System::fillPredictorStats reads the way-
+ * and miss-predictor accuracies of `Unison` and `Alloy` through it,
+ * and tests recover a `Footprint` body from a registry build. Every
+ * other design keeps the `Other` default; the timing loop never reads
+ * the tag (access() is a virtual call).
  */
 enum class DramCacheKind : std::uint8_t
 {
     Unison,
     Alloy,
     Footprint, //!< the UnisonCache body with SRAM tags
-    LohHill,
-    NaiveTaggedPage,
-    Ideal,
-    NoCache,
-    AlloyFp,  //!< alloyfp and naiveblockfp: blocks + footprint prefetch
-    UnisonWp, //!< no longer built: named only by perfbench/runner.cpp
-    Other, //!< out-of-tree subclass: virtual per-access dispatch
+    UnisonWp,  //!< no longer built: named only by perfbench/runner.cpp
+    Other,     //!< every design without a tag-gated result field
 };
 
 /** Abstract DRAM cache. */
@@ -149,8 +142,8 @@ class DramCache
     /**
      * @param offchip the shared off-chip memory pool (not owned);
      *        nullptr only for designs that never touch memory.
-     * @param kind concrete-type tag; subclasses outside this repo keep
-     *        the `Other` default and run through virtual dispatch.
+     * @param kind concrete-type tag; designs without a tag-gated
+     *        result field keep the `Other` default.
      */
     explicit DramCache(MemoryBackend *offchip,
                        DramCacheKind kind = DramCacheKind::Other)

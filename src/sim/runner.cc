@@ -5,6 +5,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -113,9 +114,11 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
     //
     // With a store, a group of ANY size first asks it for the
     // prefix's snapshot (captured by some earlier process); a verified
-    // hit lets every member resume with no leader run at all, and a
-    // miss makes the leader capture AND persist for the next
-    // invocation. A store snapshot that later fails its in-run shape
+    // hit lets every member resume with no leader run at all. On a
+    // miss, the leader of a group of two or more captures AND
+    // persists for the next invocation; a one-point group runs plain
+    // and saves nothing, since no other point of the grid reuses its
+    // prefix. A store snapshot that later fails its in-run shape
     // checks degrades to a cold warm-up inside runExperimentCk --
     // correctness never depends on the store.
     std::unordered_map<std::string, std::vector<std::size_t>> groups;
@@ -130,20 +133,21 @@ runExperiments(const std::vector<ExperimentSpec> &specs, int threads,
     std::vector<std::ptrdiff_t> capture_slot(specs.size(), -1);
     std::vector<std::ptrdiff_t> resume_slot(specs.size(), -1);
     for (const auto &[key, members] : groups) {
-        if (members.size() < 2 && store == nullptr)
+        WarmCheckpoint stored;
+        const bool loaded = store != nullptr &&
+                            store->lookupWarm(key, stored) &&
+                            stored.valid();
+        if (!loaded && members.size() < 2)
             continue; // nothing to reuse: skip the serialization cost
         const auto slot =
             static_cast<std::ptrdiff_t>(checkpoints.size());
-        checkpoints.emplace_back();
+        checkpoints.push_back(loaded ? std::move(stored)
+                                     : WarmCheckpoint{});
         slot_key.push_back(key);
-        const bool loaded = store != nullptr &&
-                            store->lookupWarm(key, checkpoints.back()) &&
-                            checkpoints.back().valid();
         if (loaded) {
             for (const std::size_t i : members)
                 resume_slot[i] = slot;
         } else {
-            checkpoints.back() = WarmCheckpoint{};
             capture_slot[members.front()] = slot;
             for (std::size_t k = 1; k < members.size(); ++k)
                 resume_slot[members[k]] = slot;

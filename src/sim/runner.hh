@@ -41,8 +41,9 @@ using ExperimentCallback =
  *
  * Warm snapshots: a warm-prefix group asks lookupWarm before electing
  * a leader; a verified hit lets every member resume with no leader
- * run, a miss makes the leader capture and saveWarm the snapshot.
- * saveWarm may run concurrently on several worker threads.
+ * run, a miss makes the leader of a group of two or more capture and
+ * saveWarm the snapshot (a one-point group runs plain and saves
+ * nothing). saveWarm may run concurrently on several worker threads.
  *
  * Every call is best-effort: a lookup that doubts its bytes misses
  * (the runner then simulates or warms up cold, which is always

@@ -7,16 +7,7 @@
 #include "common/logging.hh"
 #include "common/state_io.hh"
 #include "baselines/alloy_cache.hh"
-#include "baselines/ideal_cache.hh"
-#include "baselines/lohhill_cache.hh"
-#include "baselines/naive_tagged_page.hh"
-#include "baselines/no_cache.hh"
-#include "core/alloy_fp.hh"
 #include "core/unison_cache.hh"
-#include "trace/mix.hh"
-#include "trace/scenarios.hh"
-#include "trace/tracefile.hh"
-#include "trace/workload.hh"
 
 namespace unison {
 
@@ -59,35 +50,6 @@ System::resetAllStats()
 }
 
 SimResult
-System::run(AccessSource &source, std::uint64_t total_accesses)
-{
-    // First dispatch stage: specialize the hot loop on the concrete
-    // source type, turning the per-access virtual next() into a
-    // direct, inlinable call -- the dispatch happens once per run
-    // instead of once per access. The kind() tag replaces the earlier
-    // dynamic_cast chain: a new source type cannot compile without
-    // declaring a kind, and a new kind value makes this switch warn
-    // (-Wswitch) until it is routed explicitly.
-    switch (source.kind()) {
-      case AccessSourceKind::Synthetic:
-        return dispatchCache(static_cast<SyntheticWorkload &>(source),
-                             total_accesses);
-      case AccessSourceKind::Mixed:
-        return dispatchCache(static_cast<MixedWorkload &>(source),
-                             total_accesses);
-      case AccessSourceKind::TraceFile:
-        return dispatchCache(static_cast<TraceReader &>(source),
-                             total_accesses);
-      case AccessSourceKind::Scenario:
-      case AccessSourceKind::Other:
-        // Explicitly virtual: single-core scenarios are driven through
-        // MixedWorkload in practice, and Other is the opt-in slow path.
-        return dispatchCache(source, total_accesses);
-    }
-    panic("unhandled AccessSourceKind");
-}
-
-SimResult
 System::run(AccessSource &source, std::uint64_t total_accesses,
             const WarmCheckpoint *resume_from, WarmCheckpoint *capture_to)
 {
@@ -96,61 +58,6 @@ System::run(AccessSource &source, std::uint64_t total_accesses,
         fatal("design '", cache_->name(),
               "' or the access source does not support warm-state "
               "checkpoints");
-    resumeFrom_ = resume_from;
-    captureTo_ = capture_to;
-    SimResult result = run(source, total_accesses);
-    resumeFrom_ = nullptr;
-    captureTo_ = nullptr;
-    return result;
-}
-
-template <typename Source>
-SimResult
-System::dispatchCache(Source &source, std::uint64_t total_accesses)
-{
-    // Second dispatch stage: monomorphize on the concrete cache type.
-    // Every design makeCacheFactory can build is covered here, and all
-    // the concrete classes are final, so cache.access(req) in the loop
-    // body compiles to a direct (inlinable) call -- zero virtual calls
-    // per simulated access for built-in designs.
-    DramCache &cache = *cache_;
-    switch (cache.kind()) {
-      case DramCacheKind::Unison:
-      case DramCacheKind::Footprint: // the Unison body with SRAM tags
-        return runLoop(source, static_cast<UnisonCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::Alloy:
-        return runLoop(source, static_cast<AlloyCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::LohHill:
-        return runLoop(source, static_cast<LohHillCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::NaiveTaggedPage:
-        return runLoop(source,
-                       static_cast<NaiveTaggedPageCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::Ideal:
-        return runLoop(source, static_cast<IdealCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::NoCache:
-        return runLoop(source, static_cast<NoCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::AlloyFp:
-        return runLoop(source, static_cast<AlloyFpCache &>(cache),
-                       total_accesses);
-      case DramCacheKind::Other:
-        return runLoop(source, cache, total_accesses);
-      case DramCacheKind::UnisonWp: // no design is built with this tag
-        break;
-    }
-    panic("unhandled DramCacheKind");
-}
-
-template <typename Source, typename Cache>
-SimResult
-System::runLoop(Source &source, Cache &cache,
-                std::uint64_t total_accesses)
-{
     UNISON_ASSERT(total_accesses > 0, "empty simulation");
     UNISON_ASSERT(source.numCores() <= config_.numCores,
                   "trace has more cores than the system");
@@ -262,8 +169,8 @@ System::runLoop(Source &source, Cache &cache,
     // fires the same reset_measurement() a cold run would, so the two
     // paths are byte-identical from the boundary on.
     std::uint64_t first_access = 0;
-    if (resumeFrom_ != nullptr) {
-        const WarmCheckpoint &ck = *resumeFrom_;
+    if (resume_from != nullptr) {
+        const WarmCheckpoint &ck = *resume_from;
         if (!ck.valid() || ck.warmAccesses != warm_count ||
             warm_count == 0 || total_accesses <= warm_count)
             throwCorrupt("checkpoint boundary ", ck.warmAccesses,
@@ -294,13 +201,14 @@ System::runLoop(Source &source, Cache &cache,
         first_access = warm_count;
     }
 
+    DramCache &cache = *cache_;
     MemoryAccess acc;
     for (std::uint64_t i = first_access;
          i < total_accesses && active_cores > 0; ++i) {
         if (i == warm_count && !measuring) {
             // End of warm-up, before access warm_count is processed:
             // nothing from [0, warm_count) leaks into measurement.
-            if (captureTo_ != nullptr) {
+            if (capture_to != nullptr) {
                 // Snapshot the pre-reset state: what a resumed run
                 // restores is exactly what the reset below acts on.
                 StateWriter out;
@@ -314,8 +222,8 @@ System::runLoop(Source &source, Cache &cache,
                 out.podVector(inflight_head);
                 out.podVector(budget_left);
                 out.pod(active_cores);
-                captureTo_->warmAccesses = warm_count;
-                captureTo_->bytes = std::move(out).take();
+                capture_to->warmAccesses = warm_count;
+                capture_to->bytes = std::move(out).take();
             }
             reset_measurement();
             measuring = true;

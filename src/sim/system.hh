@@ -161,29 +161,22 @@ class System
 
     /**
      * Play `total_accesses` references from `source` through the
-     * system; the first warmFraction of them only warm state.
+     * system; the first warmFraction of them only warm state. Per
+     * access the loop makes two virtual calls, source.next() and
+     * DramCache::access().
      *
-     * The timing loop is monomorphized twice over: once on the
-     * concrete source type (AccessSourceKind) and once on the concrete
-     * cache type (DramCacheKind), so for every built-in design both
-     * the per-access next() and the per-access DramCache::access()
-     * devirtualize and inline. Unknown kinds take the virtual path.
-     */
-    SimResult run(AccessSource &source, std::uint64_t total_accesses);
-
-    /**
-     * run() with warm-checkpoint hooks. When `capture_to` is non-null
-     * and the run crosses the warm boundary, the boundary state is
-     * serialized into it (left invalid if the stream drains first).
-     * When `resume_from` is non-null the run starts *at* the boundary
-     * from the snapshot instead of simulating [0, warmAccesses); the
-     * caller must construct System and source from the identical spec
-     * prefix (state shapes are fatal-checked, identity is the
-     * caller's contract).
+     * Warm-checkpoint hooks: when `capture_to` is non-null and the run
+     * crosses the warm boundary, the boundary state is serialized into
+     * it (left invalid if the stream drains first). When `resume_from`
+     * is non-null the run starts *at* the boundary from the snapshot
+     * instead of simulating [0, warmAccesses); the caller must
+     * construct System and source from the identical spec prefix
+     * (state shapes are fatal-checked, identity is the caller's
+     * contract).
      */
     SimResult run(AccessSource &source, std::uint64_t total_accesses,
-                  const WarmCheckpoint *resume_from,
-                  WarmCheckpoint *capture_to);
+                  const WarmCheckpoint *resume_from = nullptr,
+                  WarmCheckpoint *capture_to = nullptr);
 
     /** Whether this design + source pair can checkpoint its warm
      *  state (the spec-shape conditions are the runner's to check). */
@@ -201,16 +194,6 @@ class System
   private:
     void resetAllStats();
 
-    /** Second dispatch stage: switch on the concrete cache kind. */
-    template <typename Source>
-    SimResult dispatchCache(Source &source, std::uint64_t total_accesses);
-
-    /** The timing loop, monomorphized on (source, cache) so the
-     *  per-access calls devirtualize (see run()). */
-    template <typename Source, typename Cache>
-    SimResult runLoop(Source &source, Cache &cache,
-                      std::uint64_t total_accesses);
-
     /** Predictor-accuracy SimResult fields (design-specific, cold). */
     void fillPredictorStats(SimResult &result) const;
 
@@ -218,10 +201,6 @@ class System
     std::unique_ptr<MemoryBackend> offchip_;
     std::unique_ptr<DramCache> cache_;
     std::unique_ptr<CacheHierarchy> hierarchy_;
-
-    /** Checkpoint hooks for the current run() (see the overload). */
-    const WarmCheckpoint *resumeFrom_ = nullptr;
-    WarmCheckpoint *captureTo_ = nullptr;
 };
 
 } // namespace unison

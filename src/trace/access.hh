@@ -22,7 +22,7 @@ namespace unison {
  * datacenter consolidation studies ("hundreds of simulated cores");
  * the scheduler packs core ids into the low mantissa bits of its
  * clock keys, which holds comfortably up to this bound (see
- * System::runLoop).
+ * System::run).
  */
 inline constexpr int kMaxCores = 1024;
 
@@ -45,23 +45,14 @@ struct MemoryAccess
 };
 
 /**
- * Concrete-type tag of an AccessSource.
- *
- * System::run monomorphizes its timing loop on the concrete source
- * type so the per-access next() devirtualizes; the tag is how that
- * once-per-run dispatch recovers the type. kind() is pure virtual on
- * purpose: a newly added source type fails to compile until its author
- * decides whether it gets a specialized loop (add an enum value and a
- * case in System::run -- -Wswitch keeps the two in sync) or explicitly
- * opts into the generic virtual-dispatch path with `Other`.
+ * Compatibility shim: the timing loop calls next() through the vtable
+ * and no longer recovers a source's concrete type. perfbench/runner.cpp
+ * still overrides kind() with `Other`; a change to that benchmark can
+ * drop both overrides, kind() and this enum.
  */
 enum class AccessSourceKind : std::uint8_t
 {
-    Synthetic, //!< SyntheticWorkload
-    Mixed,     //!< MixedWorkload
-    TraceFile, //!< TraceReader
-    Scenario,  //!< ScenarioSource (single-core; mixes embed it)
-    Other,     //!< explicit opt-in to the virtual slow path
+    Other,
 };
 
 /**
@@ -78,8 +69,8 @@ class AccessSource
   public:
     virtual ~AccessSource() = default;
 
-    /** Concrete-type tag (see AccessSourceKind). */
-    virtual AccessSourceKind kind() const = 0;
+    /** Shim for perfbench/runner.cpp (see AccessSourceKind). */
+    virtual AccessSourceKind kind() const { return AccessSourceKind::Other; }
 
     /**
      * Produce core `core`'s next reference.
@@ -95,9 +86,8 @@ class AccessSource
      * chunked trace-file decoding, bulk trace capture -- this is the
      * fast entry point; the timing model itself consumes one record
      * at a time (measurement showed staging records through memory
-     * costs more than the dispatch it saves) and instead
-     * devirtualizes next() by specializing its loop on the concrete
-     * source type. The default forwards to next().
+     * costs more than the dispatch it saves). The default forwards
+     * to next().
      */
     virtual std::size_t
     nextBatch(int core, MemoryAccess *out, std::size_t max)

@@ -85,10 +85,6 @@ class MixedWorkload final : public AccessSource
     {
         return static_cast<int>(cores_.size());
     }
-    AccessSourceKind kind() const override
-    {
-        return AccessSourceKind::Mixed;
-    }
 
     /** Label of the source driving `core`. */
     const std::string &coreLabel(int core) const;

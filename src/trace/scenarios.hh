@@ -138,10 +138,6 @@ class ScenarioSource final : public AccessSource
 
     bool next(int core, MemoryAccess &out) override;
     int numCores() const override { return 1; }
-    AccessSourceKind kind() const override
-    {
-        return AccessSourceKind::Scenario;
-    }
 
     const ScenarioParams &params() const { return params_; }
     bool isProducer() const { return producer_; }

@@ -122,10 +122,6 @@ class TraceReader final : public AccessSource
                           std::size_t max) override;
 
     int numCores() const override { return numCores_; }
-    AccessSourceKind kind() const override
-    {
-        return AccessSourceKind::TraceFile;
-    }
 
     std::uint64_t recordsRead() const { return count_; }
 

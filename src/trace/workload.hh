@@ -132,10 +132,6 @@ class SyntheticWorkload final : public AccessSource
     std::size_t nextBatch(int core, MemoryAccess *out,
                           std::size_t max) override;
     int numCores() const override { return params_.numCores; }
-    AccessSourceKind kind() const override
-    {
-        return AccessSourceKind::Synthetic;
-    }
 
     bool checkpointable() const override { return true; }
 

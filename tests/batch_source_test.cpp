@@ -88,10 +88,6 @@ TEST(BatchSource, DefaultNextBatchForwardsToNext)
             return true;
         }
         int numCores() const override { return 1; }
-        AccessSourceKind kind() const override
-        {
-            return AccessSourceKind::Other;
-        }
     };
 
     Counting source;

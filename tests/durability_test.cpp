@@ -565,7 +565,8 @@ TEST(WarmObject, OtherCodeVersionIsNeverLoaded)
     ExperimentSpec base = tinySpec(DesignKind::Unison);
     base.accesses = 90'000;
     base.system.warmupAccesses = 45'000;
-    const std::vector<ExperimentSpec> specs{base};
+    std::vector<ExperimentSpec> specs{base, base};
+    specs[1].accesses = 120'000; // same warm prefix: worth a snapshot
     const std::vector<SimResult> plain = runExperiments(specs, 1);
 
     // Another build captured this very prefix into the same store.
@@ -594,8 +595,51 @@ TEST(WarmObject, OtherCodeVersionIsNeverLoaded)
         runExperiments(specs, 1, nullptr, &hook);
     EXPECT_EQ(store.warmHits(), 0u);
     EXPECT_EQ(store.warmSaves(), 1u);
-    EXPECT_EQ(resultKey(with_store[0]), resultKey(plain[0]));
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        EXPECT_EQ(resultKey(with_store[i]), resultKey(plain[i]));
     EXPECT_TRUE(fileExists(old_path)); // untouched, just never loaded
+}
+
+TEST(WarmObject, OnePointGroupSavesNoSnapshotButResumesFromOne)
+{
+    // No other point of a one-point grid shares its warm prefix, so a
+    // store miss runs it plain: no capture, no snapshot on disk.
+    ExperimentSpec base = tinySpec(DesignKind::Unison);
+    base.accesses = 90'000;
+    base.system.warmupAccesses = 45'000;
+    const std::vector<ExperimentSpec> alone{base};
+    const std::vector<SimResult> plain = runExperiments(alone, 1);
+
+    ResultStore store(tempDir("warm_one_point"));
+    const std::string key = warmPrefixKey(base);
+    {
+        StoreCacheHook hook(store, alone);
+        const std::vector<SimResult> first =
+            runExperiments(alone, 1, nullptr, &hook);
+        EXPECT_EQ(resultKey(first[0]), resultKey(plain[0]));
+    }
+    EXPECT_EQ(store.warmHits(), 0u);
+    EXPECT_EQ(store.warmSaves(), 0u);
+    EXPECT_FALSE(fileExists(store.warmObjectPath(key)));
+
+    // A snapshot some earlier grid saved is still used: a one-point
+    // grid over the same prefix resumes from it.
+    WarmCheckpoint captured;
+    runExperimentCk(base, nullptr, &captured);
+    ASSERT_TRUE(captured.valid());
+    store.saveWarm(key, captured);
+    ExperimentSpec longer = base;
+    longer.accesses = 120'000;
+    const std::vector<ExperimentSpec> next{longer};
+    const std::vector<SimResult> next_plain = runExperiments(next, 1);
+    {
+        StoreCacheHook hook(store, next);
+        const std::vector<SimResult> resumed =
+            runExperiments(next, 1, nullptr, &hook);
+        EXPECT_EQ(resultKey(resumed[0]), resultKey(next_plain[0]));
+    }
+    EXPECT_EQ(store.warmHits(), 1u);
+    EXPECT_EQ(store.warmSaves(), 1u);
 }
 
 TEST(WarmObject, ShapeCorruptSnapshotFallsBackColdInRunner)

@@ -107,6 +107,19 @@ TEST(FootprintCache, TagLatencyOnEveryAccess)
     EXPECT_LE(latency, 11u + 200u);
 }
 
+TEST(FootprintCache, BuildsNoWayPredictorTable)
+{
+    // SRAM tags resolve before the serial data read, so the way
+    // predictor is never consulted: none is allocated. The same body
+    // with DRAM tags (`unison`, even under serial-tag) keeps its table.
+    DramModule offchip(offChipDramOrganization(), offChipDramTiming());
+    EXPECT_FALSE(buildFootprint(offchip, 4_MiB)->hasWayPredictorTable());
+    UnisonConfig dram_tags;
+    dram_tags.capacityBytes = 4_MiB;
+    dram_tags.wayPolicy = UnisonWayPolicy::SerialTag;
+    EXPECT_TRUE(UnisonCache(dram_tags, &offchip).hasWayPredictorTable());
+}
+
 TEST(FootprintCache, FootprintLearningRoundTrip)
 {
     Rig rig;

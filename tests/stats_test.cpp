@@ -1,12 +1,11 @@
 /**
  * @file
  * Unit tests for the statistics package: counters, averages, ratio
- * helpers, histograms and the table formatter.
+ * helpers and the table formatter.
  */
 
 #include <gtest/gtest.h>
 
-#include "stats/histogram.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 
@@ -47,79 +46,6 @@ TEST(FormatDouble, Precision)
 {
     EXPECT_EQ(formatDouble(3.14159, 2), "3.14");
     EXPECT_EQ(formatDouble(3.0, 0), "3");
-}
-
-TEST(Histogram, BucketsAndQuantiles)
-{
-    Histogram h(100, 10);
-    for (std::uint64_t v = 0; v < 100; ++v)
-        h.record(v);
-    EXPECT_EQ(h.samples(), 100u);
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.bucketCount(0), 10u);
-    EXPECT_NEAR(h.mean(), 49.5, 0.01);
-    EXPECT_LE(h.quantile(0.5), 60u);
-    EXPECT_GE(h.quantile(0.5), 40u);
-}
-
-TEST(Histogram, OverflowBucket)
-{
-    Histogram h(10, 5);
-    h.record(3);
-    h.record(1000);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.samples(), 2u);
-    // Rendering includes the overflow row and never crashes.
-    EXPECT_FALSE(h.render().empty());
-}
-
-TEST(Histogram, MaxBelongsToTheLastBucketNotOverflow)
-{
-    // Regression: a sample equal to max used to be counted as
-    // overflow even though the histogram claims to track it.
-    Histogram h(100, 10);
-    h.record(100);
-    EXPECT_EQ(h.overflow(), 0u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    h.record(101);
-    EXPECT_EQ(h.overflow(), 1u);
-}
-
-TEST(Histogram, QuantileNeverReportsBeyondMax)
-{
-    // Regression: ceil-rounded bucket widths made the last bucket's
-    // upper edge overshoot max (e.g. 12 for a [0, 10] histogram),
-    // biasing every quantile that landed in the tail.
-    Histogram h(10, 3); // width 4: buckets [0,4) [4,8) [8,10]
-    h.record(9);
-    h.record(9);
-    EXPECT_EQ(h.quantile(0.5), 10u);
-    EXPECT_EQ(h.quantile(1.0), 10u);
-
-    Histogram spread(100, 10);
-    for (std::uint64_t v = 0; v <= 100; ++v)
-        spread.record(v);
-    for (double q : {0.0, 0.25, 0.5, 0.9, 1.0})
-        EXPECT_LE(spread.quantile(q), 100u);
-}
-
-TEST(Histogram, QuantileIgnoresRoundedUpTailBias)
-{
-    // All mass in the first bucket: every quantile must point there.
-    Histogram h(1000, 7); // width 143; 7 * 143 = 1001 > 1000
-    for (int i = 0; i < 50; ++i)
-        h.record(5);
-    EXPECT_EQ(h.quantile(0.5), 143u);
-    EXPECT_EQ(h.quantile(1.0), 143u);
-}
-
-TEST(Histogram, ResetClearsState)
-{
-    Histogram h(10, 5);
-    h.record(3);
-    h.reset();
-    EXPECT_EQ(h.samples(), 0u);
-    EXPECT_EQ(h.bucketCount(0), 0u);
 }
 
 TEST(Table, AlignedOutput)
