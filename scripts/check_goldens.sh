@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Byte-compare the paper-figure bench outputs against the checked-in
-# goldens in goldens/. This is how the policy framework's bit-identity
-# claim is enforced on every push: any change to simulated behaviour
-# -- tag scan order, victim choice, DRAM timing, fetch policy -- shows
-# up as a diff here.
+# Byte-compare every committed golden in goldens/ against a fresh run:
+# the seven paper-figure bench CSVs, the smoke spec under the detailed
+# memory backend, and the datacenter figure. Any change to simulated
+# behaviour -- tag scan order, victim choice, DRAM timing, fetch
+# policy, the timing loop -- shows up as a diff here.
 #
 # Usage:
 #   scripts/check_goldens.sh <build-dir>            # compare
@@ -18,26 +18,48 @@ mode="${2:-}"
 threads="${THREADS:-2}"
 root="$(cd "$(dirname "$0")/.." && pwd)"
 
-benches="fig5_associativity fig6_missratio fig7_performance \
-         fig8_tpch table5_predictors ablation_unison mixes"
-
 rc=0
-for bench in $benches; do
-    golden="$root/goldens/$bench.csv"
-    tmp="$(mktemp)"
-    "$build/$bench" --quick --seed 42 --threads "$threads" --csv \
-        > "$tmp" 2>/dev/null
+
+# check <golden file> <command...>: the command writes the output to
+# the path in $out.
+check() {
+    local golden="$root/goldens/$1"
+    shift
+    out="$(mktemp)"
+    "$@" 2>/dev/null
     if [ "$mode" = "--update" ]; then
-        mv "$tmp" "$golden"
+        mv "$out" "$golden"
         echo "updated $golden"
-    elif cmp -s "$golden" "$tmp"; then
-        echo "OK       $bench"
-        rm -f "$tmp"
+    elif cmp -s "$golden" "$out"; then
+        echo "OK       $(basename "$golden")"
+        rm -f "$out"
     else
-        echo "DIFFERS  $bench (vs $golden)"
-        diff "$golden" "$tmp" | head -20 || true
-        rm -f "$tmp"
+        echo "DIFFERS  $(basename "$golden")"
+        diff "$golden" "$out" | head -20 || true
+        rm -f "$out"
         rc=1
     fi
+}
+
+bench_csv() {
+    "$build/$1" --quick --seed 42 --threads "$threads" --csv > "$out"
+}
+
+for bench in fig5_associativity fig6_missratio fig7_performance \
+             fig8_tpch table5_predictors ablation_unison mixes; do
+    check "$bench.csv" bench_csv "$bench"
 done
+
+smoke_detailed() {
+    "$build/unison_sim" --spec "$root/specs/smoke.json" \
+        --memory-backend detailed --format json --out "$out"
+}
+check smoke_detailed.json smoke_detailed
+
+datacenter() {
+    "$build/unison_sim" --figure datacenter --quick --threads "$threads" \
+        --format json --out "$out"
+}
+check datacenter.json datacenter
+
 exit $rc

@@ -28,7 +28,7 @@ UnisonCache::UnisonCache(const UnisonConfig &config,
                                         /*phys_addr_bits=*/40,
                                         sram_tag_latency.has_value())),
       stacked_(makeMemoryBackend(config.stackedOrg, config.stackedTiming)),
-      wayPred_(config, geometry_.numSets, sram_tag_latency.has_value()),
+      wayPred_(config, geometry_.numSets),
       fetchPolicy_([&] {
           FootprintFetchPolicy::Config c;
           c.fht = config.fhtConfig;

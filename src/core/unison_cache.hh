@@ -139,17 +139,14 @@ struct FootprintCacheConfig
 class UnisonWayPredictor
 {
   public:
-    /**
-     * @param sram_tags the cache keeps its tags in SRAM (`footprint`):
-     *        its serial-tag reads never consult a predictor, so no
-     *        table is built. DRAM-tag caches build the hashed table
-     *        under every policy (it is part of their warm state).
-     */
-    UnisonWayPredictor(const UnisonConfig &config, std::uint64_t num_sets,
-                       bool sram_tags = false)
+    /** The hashed table is built only under `predict`, the one
+     *  policy that reads it; `footprint` (SRAM tags, serial-tag) and
+     *  `unison` under fetch-all or serial-tag never consult a
+     *  predictor and allocate none. */
+    UnisonWayPredictor(const UnisonConfig &config, std::uint64_t num_sets)
         : policy_(config.wayPolicy)
     {
-        if (!sram_tags)
+        if (policy_ == UnisonWayPolicy::Predict)
             hashed_.emplace(config.wayPredictorIndexBits != 0
                                 ? config.wayPredictorIndexBits
                                 : WayPredictor::indexBitsForCapacity(
@@ -201,9 +198,8 @@ class UnisonWayPredictor
     /** Whether the hashed table was built (see the constructor). */
     bool hasTable() const { return hashed_.has_value(); }
 
-    /** Warm-state checkpoint: the hashed table whenever it is built
-     *  (it is all there is for `predict`), plus the per-set ways under
-     *  `predict-mru`. */
+    /** Warm-state checkpoint: the hashed table under `predict`, the
+     *  per-set ways under `predict-mru`, nothing otherwise. */
     void
     saveState(StateWriter &out) const
     {
@@ -224,7 +220,7 @@ class UnisonWayPredictor
 
   private:
     UnisonWayPolicy policy_;
-    std::optional<WayPredictor> hashed_; //!< absent with SRAM tags
+    std::optional<WayPredictor> hashed_; //!< built only for `predict`
     std::vector<std::uint8_t> mruWay_; //!< sized only for `predict-mru`
     WayPredictorStats stats_;
 };
@@ -260,7 +256,7 @@ class UnisonCache final : public DramCache
     {
         return wayPred_.stats();
     }
-    /** False with SRAM tags: no way-predictor table is built. */
+    /** Whether the hashed way-predictor table exists (`predict` only). */
     bool hasWayPredictorTable() const { return wayPred_.hasTable(); }
     const FootprintHistoryTable &footprintTable() const
     {

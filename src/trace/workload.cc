@@ -134,7 +134,6 @@ scrambleRank(std::uint64_t rank, std::uint64_t num_regions)
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
                                      std::uint64_t seed)
     : params_(params),
-      rng_(seed),
       functionZipf_(sharedZipfSampler(
           static_cast<std::uint64_t>(std::max(params.numFunctions, 1)),
           params.functionZipfAlpha)),
@@ -160,19 +159,29 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
         }
     }
 
-    buildFunctions();
+    // Core 0 draws from the generator that built the functions, so a
+    // one-core workload (every MixedWorkload part) keeps the stream it
+    // has always had; every other core gets a generator of its own.
+    Rng build_rng(seed);
+    buildFunctions(build_rng);
 
     cores_.resize(params_.numCores);
-    for (auto &core : cores_) {
+    for (int c = 0; c < params_.numCores; ++c) {
+        CoreState &core = cores_[c];
+        core.rng = c == 0
+                       ? build_rng
+                       : Rng(hashCombine(
+                             seed, static_cast<std::uint64_t>(c) +
+                                       kCoreSeedSalt));
         core.episodes.resize(std::max(params_.episodesPerCore, 1));
         for (auto &ep : core.episodes)
-            startEpisode(ep);
+            startEpisode(core.rng, ep);
         core.burstLeft = params_.burstLength;
     }
 }
 
 void
-SyntheticWorkload::buildFunctions()
+SyntheticWorkload::buildFunctions(Rng &rng)
 {
     functions_.resize(params_.numFunctions);
     const Pc pc_base = 0x400000;
@@ -198,13 +207,13 @@ SyntheticWorkload::buildFunctions()
         // approximated by the mean of three uniform draws.
         const double spread = params_.footprintStddev * 3.46; // ~3 sigma
         double size = params_.meanFootprintBlocks +
-                      spread * (rng_.uniform() + rng_.uniform() +
-                                rng_.uniform() - 1.5) / 3.0;
+                      spread * (rng.uniform() + rng.uniform() +
+                                rng.uniform() - 1.5) / 3.0;
         const int blocks = static_cast<int>(std::clamp(
             size, 2.0, static_cast<double>(kRegionBlocks)));
 
         std::uint32_t pattern = 1; // bit 0 (the trigger) is always set
-        if (rng_.chance(params_.contiguousFraction)) {
+        if (rng.chance(params_.contiguousFraction)) {
             // Scan-like contiguous run.
             fn.contiguous = true;
             for (int b = 1; b < blocks; ++b)
@@ -221,7 +230,7 @@ SyntheticWorkload::buildFunctions()
                                           blocks * 2)));
             while (popCount(pattern) <
                    static_cast<std::uint32_t>(blocks))
-                pattern |= 1u << rng_.range(1, window - 1);
+                pattern |= 1u << rng.range(1, window - 1);
             fn.width = static_cast<std::uint8_t>(
                 32 - std::countl_zero(pattern));
         }
@@ -230,14 +239,15 @@ SyntheticWorkload::buildFunctions()
 }
 
 std::uint64_t
-SyntheticWorkload::pickRegion()
+SyntheticWorkload::pickRegion(Rng &rng)
 {
-    const std::uint64_t rank = regionZipf_->sample(rng_);
+    const std::uint64_t rank = regionZipf_->sample(rng);
     return scrambleRank(rank, params_.numRegions());
 }
 
 std::uint32_t
-SyntheticWorkload::applyNoise(std::uint32_t mask, std::uint32_t width)
+SyntheticWorkload::applyNoise(Rng &rng, std::uint32_t mask,
+                              std::uint32_t width)
 {
     if (params_.footprintNoiseDrop <= 0.0 &&
         params_.footprintNoiseAdd <= 0.0)
@@ -249,10 +259,10 @@ SyntheticWorkload::applyNoise(std::uint32_t mask, std::uint32_t width)
     for (std::uint32_t b = 1; b < span; ++b) {
         const std::uint32_t bit = 1u << b;
         if (mask & bit) {
-            if (rng_.chance(params_.footprintNoiseDrop))
+            if (rng.chance(params_.footprintNoiseDrop))
                 result &= ~bit;
         } else {
-            if (rng_.chance(params_.footprintNoiseAdd))
+            if (rng.chance(params_.footprintNoiseAdd))
                 result |= bit;
         }
     }
@@ -260,37 +270,37 @@ SyntheticWorkload::applyNoise(std::uint32_t mask, std::uint32_t width)
 }
 
 void
-SyntheticWorkload::startEpisode(Episode &ep)
+SyntheticWorkload::startEpisode(Rng &rng, Episode &ep)
 {
     ep.active = true;
     ep.repeatsLeft = 0;
     ep.scan = false;
 
-    if (rng_.chance(params_.pointerChaseFraction)) {
+    if (rng.chance(params_.pointerChaseFraction)) {
         // Pointer chase: one random block of a random region, from a
         // per-offset chase PC (so the predictor can still learn that
         // these are singletons).
-        const std::uint64_t region = rng_.below(params_.numRegions());
+        const std::uint64_t region = rng.below(params_.numRegions());
         const std::uint32_t off = static_cast<std::uint32_t>(
-            rng_.below(kRegionBlocks));
+            rng.below(kRegionBlocks));
         ep.startBlock = region * kRegionBlocks + off;
         ep.pendingMask = 1;
         ep.pc = chasePcBase_ + (off & 7) * 4;
         return;
     }
 
-    const std::uint64_t region = pickRegion();
+    const std::uint64_t region = pickRegion(rng);
     const std::uint64_t region_block = region * kRegionBlocks;
 
     // Most episodes on a region come from its owning function; the
     // rest are foreign visits by popularity-sampled code.
     std::uint32_t f;
-    if (rng_.chance(params_.ownerAffinity)) {
+    if (rng.chance(params_.ownerAffinity)) {
         f = static_cast<std::uint32_t>(
             hashCombine(region, 0x04e12ull) %
             static_cast<std::uint64_t>(params_.numFunctions));
     } else {
-        f = static_cast<std::uint32_t>(functionZipf_->sample(rng_));
+        f = static_cast<std::uint32_t>(functionZipf_->sample(rng));
     }
     const Function &fn = functions_[f];
     ep.pc = fn.pc;
@@ -342,14 +352,15 @@ SyntheticWorkload::startEpisode(Episode &ep)
     if (ep.startBlock + fn.width > last_block)
         ep.startBlock = last_block - fn.width;
     ep.pendingMask =
-        fn.singleton ? fn.pattern : applyNoise(fn.pattern, fn.width);
+        fn.singleton ? fn.pattern : applyNoise(rng, fn.pattern, fn.width);
     if (ep.pendingMask == 0)
         ep.pendingMask = fn.pattern;
 }
 
 void
-SyntheticWorkload::emitBlock(const Episode &ep, std::uint64_t block,
-                             int core, MemoryAccess &out)
+SyntheticWorkload::emitBlock(Rng &rng, const Episode &ep,
+                             std::uint64_t block, int core,
+                             MemoryAccess &out)
 {
     out.addr = blockAddress(block);
     out.pc = ep.pc;
@@ -358,7 +369,7 @@ SyntheticWorkload::emitBlock(const Episode &ep, std::uint64_t block,
     // 24 bits, the instruction gap from the low 32 (emitBlock runs
     // once per reference, so the second generator step it used to
     // take was measurable).
-    const std::uint64_t r = rng_.next();
+    const std::uint64_t r = rng.next();
     out.isWrite = (r >> 40) < writeThresh24_;
     out.instrsBefore = static_cast<std::uint16_t>(
         1 + ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) *
@@ -367,7 +378,7 @@ SyntheticWorkload::emitBlock(const Episode &ep, std::uint64_t block,
 }
 
 bool
-SyntheticWorkload::emitFromEpisode(Episode &ep, int core,
+SyntheticWorkload::emitFromEpisode(Rng &rng, Episode &ep, int core,
                                    MemoryAccess &out)
 {
     if (ep.repeatsLeft == 0) {
@@ -375,7 +386,7 @@ SyntheticWorkload::emitFromEpisode(Episode &ep, int core,
         if (ep.scan) {
             // Skip dropped blocks (noise), never the first.
             while (ep.scanLeft > 0 && ep.scanNext > 0 &&
-                   rng_.chance(params_.footprintNoiseDrop)) {
+                   rng.chance(params_.footprintNoiseDrop)) {
                 ++ep.scanNext;
                 --ep.scanLeft;
             }
@@ -395,7 +406,7 @@ SyntheticWorkload::emitFromEpisode(Episode &ep, int core,
             ep.pendingMask &= ep.pendingMask - 1;
         }
         const std::uint64_t repeats =
-            geomRepeat_ ? rng_.geometricWith(geomDenom_) : 1;
+            geomRepeat_ ? rng.geometricWith(geomDenom_) : 1;
         ep.repeatsLeft = static_cast<std::uint8_t>(
             std::min<std::uint64_t>(repeats, 64));
     }
@@ -404,7 +415,7 @@ SyntheticWorkload::emitFromEpisode(Episode &ep, int core,
     const std::uint64_t block =
         ep.scan ? ep.startBlock + ep.scanNext
                 : ep.startBlock + ep.currentBit;
-    emitBlock(ep, block, core, out);
+    emitBlock(rng, ep, block, core, out);
     if (ep.scan && ep.repeatsLeft == 0)
         ++ep.scanNext;
     return true;
@@ -427,13 +438,13 @@ SyntheticWorkload::generate(CoreState &core, int core_idx,
 
         Episode &ep = core.episodes[core.slot];
         if (!ep.active)
-            startEpisode(ep);
-        if (emitFromEpisode(ep, core_idx, out)) {
+            startEpisode(core.rng, ep);
+        if (emitFromEpisode(core.rng, ep, core_idx, out)) {
             --core.burstLeft;
             return true;
         }
         // Episode drained mid-burst: start a fresh one next attempt.
-        startEpisode(ep);
+        startEpisode(core.rng, ep);
     }
     panic("SyntheticWorkload failed to produce an access");
 }

@@ -121,7 +121,9 @@ struct WorkloadParams
 
 /**
  * The synthetic stream generator. Deterministic for a given
- * (params, seed) pair.
+ * (params, seed) pair, and per core: each core draws from its own
+ * generator, so the stream core c receives does not depend on how
+ * calls for the other cores interleave with its own.
  */
 class SyntheticWorkload final : public AccessSource
 {
@@ -135,14 +137,14 @@ class SyntheticWorkload final : public AccessSource
 
     bool checkpointable() const override { return true; }
 
-    /** Mutable stream state: the RNG and each core's in-flight
-     *  episodes. Functions/samplers are immutable after construction
-     *  and rebuilt identically from (params, seed). */
+    /** Mutable stream state: each core's RNG and in-flight episodes.
+     *  Functions/samplers are immutable after construction and
+     *  rebuilt identically from (params, seed). */
     void
     saveState(StateWriter &out) const override
     {
-        out.pod(rng_);
         for (const CoreState &core : cores_) {
+            out.pod(core.rng);
             out.podVector(core.episodes);
             out.pod(core.slot);
             out.pod(core.burstLeft);
@@ -152,8 +154,8 @@ class SyntheticWorkload final : public AccessSource
     void
     loadState(StateReader &in) override
     {
-        in.pod(rng_);
         for (CoreState &core : cores_) {
+            in.pod(core.rng);
             in.podVectorExact(core.episodes);
             in.pod(core.slot);
             in.pod(core.burstLeft);
@@ -201,22 +203,28 @@ class SyntheticWorkload final : public AccessSource
 
     struct CoreState
     {
+        Rng rng;            //!< this core's draws, and only its
         std::vector<Episode> episodes;
         int slot = 0;       //!< episode being drained
         int burstLeft = 0;  //!< refs before rotating episodes
     };
 
-    void buildFunctions();
-    void startEpisode(Episode &ep);
-    std::uint64_t pickRegion();
-    std::uint32_t applyNoise(std::uint32_t mask, std::uint32_t width);
-    bool emitFromEpisode(Episode &ep, int core, MemoryAccess &out);
-    void emitBlock(const Episode &ep, std::uint64_t block, int core,
-                   MemoryAccess &out);
+    /** Salt of the seeds of cores 1..n-1 (core 0 keeps the
+     *  construction generator). */
+    static constexpr std::uint64_t kCoreSeedSalt = 0xc0e5eedull;
+
+    void buildFunctions(Rng &rng);
+    void startEpisode(Rng &rng, Episode &ep);
+    std::uint64_t pickRegion(Rng &rng);
+    std::uint32_t applyNoise(Rng &rng, std::uint32_t mask,
+                             std::uint32_t width);
+    bool emitFromEpisode(Rng &rng, Episode &ep, int core,
+                         MemoryAccess &out);
+    void emitBlock(Rng &rng, const Episode &ep, std::uint64_t block,
+                   int core, MemoryAccess &out);
     bool generate(CoreState &core, int core_idx, MemoryAccess &out);
 
     WorkloadParams params_;
-    Rng rng_;
     /** Shared immutable O(1) samplers (see sharedZipfSampler). */
     std::shared_ptr<const ZipfAliasSampler> functionZipf_;
     std::shared_ptr<const ZipfAliasSampler> regionZipf_;

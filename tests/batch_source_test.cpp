@@ -42,8 +42,8 @@ TEST(BatchSource, WorkloadBatchMatchesRepeatedNext)
     SyntheticWorkload by_next(smallParams(), 77);
     SyntheticWorkload by_batch(smallParams(), 77);
 
-    // Single-core pulls: the shared generator RNG advances identically
-    // when the same core is served, so the streams must match 1:1.
+    // Single-core pulls: the core's generator advances identically
+    // either way, so the streams must match 1:1.
     const std::size_t kTotal = 4096;
     std::vector<MemoryAccess> batch(kTotal);
     ASSERT_EQ(by_batch.nextBatch(0, batch.data(), kTotal), kTotal);

@@ -110,14 +110,34 @@ TEST(FootprintCache, TagLatencyOnEveryAccess)
 TEST(FootprintCache, BuildsNoWayPredictorTable)
 {
     // SRAM tags resolve before the serial data read, so the way
-    // predictor is never consulted: none is allocated. The same body
-    // with DRAM tags (`unison`, even under serial-tag) keeps its table.
+    // predictor is never consulted: none is allocated.
     DramModule offchip(offChipDramOrganization(), offChipDramTiming());
     EXPECT_FALSE(buildFootprint(offchip, 4_MiB)->hasWayPredictorTable());
-    UnisonConfig dram_tags;
-    dram_tags.capacityBytes = 4_MiB;
-    dram_tags.wayPolicy = UnisonWayPolicy::SerialTag;
-    EXPECT_TRUE(UnisonCache(dram_tags, &offchip).hasWayPredictorTable());
+}
+
+TEST(FootprintCache, UnisonBuildsAWayPredictorTableOnlyToPredict)
+{
+    // With DRAM tags the table exists only under `predict`: fetch-all
+    // reads every way and serial-tag reads the tag first, so neither
+    // consults a predictor, allocates a table or checkpoints one.
+    DramModule offchip(offChipDramOrganization(), offChipDramTiming());
+    UnisonConfig config;
+    config.capacityBytes = 4_MiB;
+    EXPECT_TRUE(UnisonCache(config, &offchip).hasWayPredictorTable());
+    for (const UnisonWayPolicy policy :
+         {UnisonWayPolicy::FetchAll, UnisonWayPolicy::SerialTag}) {
+        config.wayPolicy = policy;
+        const UnisonCache cache(config, &offchip);
+        EXPECT_FALSE(cache.hasWayPredictorTable());
+        // Nothing of a predictor reaches the warm snapshot either.
+        config.wayPolicy = UnisonWayPolicy::Predict;
+        StateWriter with_table;
+        UnisonCache(config, &offchip).saveState(with_table);
+        StateWriter without_table;
+        cache.saveState(without_table);
+        EXPECT_LT(std::move(without_table).take().size(),
+                  std::move(with_table).take().size());
+    }
 }
 
 TEST(FootprintCache, FootprintLearningRoundTrip)

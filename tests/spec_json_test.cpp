@@ -478,20 +478,19 @@ struct GoldenRow
 TEST(SpecJsonGolden, JsonRoundTrippedSpecsReproduceContractCounters)
 {
     const GoldenRow golden[] = {
-        {DesignKind::Unison, 263061ull, 3346ull, 1155ull, 13080ull,
-         9591ull},
-        {DesignKind::Alloy, 164157ull, 0ull, 4680ull, 3483ull,
-         9364ull},
-        {DesignKind::Footprint, 339164ull, 3739ull, 903ull, 21504ull,
-         4411ull},
-        {DesignKind::LohHill, 163555ull, 0ull, 4773ull, 3558ull,
-         3558ull},
-        {DesignKind::NaiveBlockFp, 268547ull, 3517ull, 1113ull,
-         13495ull, 19986ull},
-        {DesignKind::NaiveTaggedPage, 360971ull, 3716ull, 988ull,
-         19346ull, 5274ull},
-        {DesignKind::Ideal, 163669ull, 4707ull, 0ull, 0ull, 4707ull},
-        {DesignKind::NoDramCache, 163567ull, 0ull, 4643ull, 3511ull,
+        {DesignKind::Unison, 270247ull, 3543ull, 1182ull, 13395ull,
+         10055ull},
+        {DesignKind::Alloy, 167742ull, 0ull, 4761ull, 3564ull, 9528ull},
+        {DesignKind::Footprint, 337884ull, 3818ull, 894ull, 21824ull,
+         4500ull},
+        {DesignKind::LohHill, 164071ull, 0ull, 4777ull, 3579ull,
+         3579ull},
+        {DesignKind::NaiveBlockFp, 287298ull, 3526ull, 1191ull,
+         13753ull, 20386ull},
+        {DesignKind::NaiveTaggedPage, 360976ull, 3794ull, 948ull,
+         19433ull, 5283ull},
+        {DesignKind::Ideal, 164038ull, 4771ull, 0ull, 0ull, 4771ull},
+        {DesignKind::NoDramCache, 164057ull, 0ull, 4777ull, 3579ull,
          0ull},
     };
 
