@@ -53,30 +53,40 @@ struct HierarchyOutcome
 
 /**
  * Per-core L1s in front of one shared L2. The caches are stored by
- * value (no per-access pointer chase). access() is the front door of
- * every simulated reference: the Release LTO build inlines it into
- * the timing loop (System::run), but its calls to
- * SetAssocCache::access stay out of line.
+ * value (no per-access pointer chase). A reference is two steps: the
+ * private one, l1Access(), touches only the issuing core's L1; the
+ * shared one, afterL1Miss(), runs only for an L1 miss. The timing loop
+ * (System::run) runs a core's L1 hits ahead of the other cores and
+ * takes the shared step in global time order; access() is the two
+ * back to back.
+ *
+ * The L1s' own counters therefore include references a core ran
+ * ahead past the end of a run; System counts its L1 statistics per
+ * measured reference instead.
  */
 class CacheHierarchy
 {
   public:
     CacheHierarchy(int num_cores, const HierarchyConfig &config);
 
-    /** Run one reference through L1 and (if needed) L2. */
-    HierarchyOutcome
-    access(int core, Addr addr, bool is_write)
+    /** The private step: core `core`'s L1 alone (allocate on miss). */
+    SramAccessResult
+    l1Access(int core, Addr addr, bool is_write)
     {
         UNISON_ASSERT(core >= 0 && core < static_cast<int>(l1s_.size()),
                       "core ", core, " out of range");
-        const SramAccessResult l1res = l1s_[core].access(addr, is_write);
+        return l1s_[core].access(addr, is_write);
+    }
+
+    /**
+     * The shared step of a reference whose l1Access() returned the
+     * miss `l1res`: its dirty L1 victim goes into the L2, then the L2
+     * is probed.
+     */
+    HierarchyOutcome
+    afterL1Miss(Addr addr, bool is_write, const SramAccessResult &l1res)
+    {
         HierarchyOutcome outcome;
-        if (l1res.hit) {
-            outcome.level = HierarchyOutcome::Level::L1;
-            outcome.sramLatency = config_.l1Latency;
-            return outcome;
-        }
-        // L1 miss: a dirty L1 victim is written back into the L2 first.
         if (l1res.writeback)
             writebackToL2(l1res.writebackAddr, outcome);
 
@@ -88,14 +98,22 @@ class CacheHierarchy
                 l2res.writebackAddr;
         }
 
-        if (l2res.hit) {
-            outcome.level = HierarchyOutcome::Level::L2;
-            outcome.sramLatency = config_.l1Latency + config_.l2Latency;
-            return outcome;
-        }
-
-        outcome.level = HierarchyOutcome::Level::Beyond;
+        outcome.level = l2res.hit ? HierarchyOutcome::Level::L2
+                                  : HierarchyOutcome::Level::Beyond;
         outcome.sramLatency = config_.l1Latency + config_.l2Latency;
+        return outcome;
+    }
+
+    /** Run one reference through L1 and (if needed) L2. */
+    HierarchyOutcome
+    access(int core, Addr addr, bool is_write)
+    {
+        const SramAccessResult l1res = l1Access(core, addr, is_write);
+        if (!l1res.hit)
+            return afterL1Miss(addr, is_write, l1res);
+        HierarchyOutcome outcome;
+        outcome.level = HierarchyOutcome::Level::L1;
+        outcome.sramLatency = config_.l1Latency;
         return outcome;
     }
 

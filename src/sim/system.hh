@@ -161,9 +161,12 @@ class System
 
     /**
      * Play `total_accesses` references from `source` through the
-     * system; the first warmFraction of them only warm state. Per
-     * access the loop makes two virtual calls, source.next() and
-     * DramCache::access().
+     * system; the first warmFraction of them only warm state. The
+     * loop is event-driven (see EventLoop in system.cc): a picked
+     * core runs its private L1 hits ahead, and only L1 misses go
+     * through the min-clock scheduler to the shared levels, in the
+     * order a one-reference-per-pick loop would serve them. It relies
+     * on the per-core stream contract of AccessSource::next.
      *
      * Warm-checkpoint hooks: when `capture_to` is non-null and the run
      * crosses the warm boundary, the boundary state is serialized into
@@ -192,8 +195,6 @@ class System
     const SystemConfig &config() const { return config_; }
 
   private:
-    void resetAllStats();
-
     /** Predictor-accuracy SimResult fields (design-specific, cold). */
     void fillPredictorStats(SimResult &result) const;
 

@@ -22,13 +22,15 @@ namespace unison {
 
 /**
  * One core's share of the measured window: user instructions retired,
- * memory references issued, read references (the AMAT sample count)
- * and their total latency in cycles. One X-macro list feeds reset()
- * and any per-field emission, like the other *Stats structs.
+ * memory references issued, those that missed the core's L1, read
+ * references (the AMAT sample count) and their total latency in
+ * cycles. One X-macro list feeds reset() and any per-field emission,
+ * like the other *Stats structs.
  */
 #define UNISON_CORE_WINDOW_STATS_FIELDS(X)                              \
     X(std::uint64_t, instructions)                                      \
     X(std::uint64_t, references)                                        \
+    X(std::uint64_t, l1Misses)                                          \
     X(std::uint64_t, loads)                                             \
     X(double, loadLatencySum)
 
@@ -88,6 +90,15 @@ class PerCoreStats
         std::uint64_t sum = 0;
         for (const CoreWindowStats &c : cores_)
             sum += c.references;
+        return sum;
+    }
+
+    std::uint64_t
+    totalL1Misses() const
+    {
+        std::uint64_t sum = 0;
+        for (const CoreWindowStats &c : cores_)
+            sum += c.l1Misses;
         return sum;
     }
 

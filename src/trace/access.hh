@@ -29,7 +29,7 @@ inline constexpr int kMaxCores = 1024;
 /**
  * One memory reference as seen by a core's load/store unit.
  *
- * The stream is interleaved across cores; `instrsBefore` is the number
+ * Each core has its own stream; `instrsBefore` is the number
  * of (non-memory) instructions the issuing core executed since its
  * previous reference, which the timing model converts into compute
  * cycles. This is the standard trace-driven contract the paper's Flexus
@@ -59,10 +59,10 @@ enum class AccessSourceKind : std::uint8_t
  * Anything that can produce per-core streams of MemoryAccess records:
  * the synthetic workload models, or a trace file reader.
  *
- * The timing model pulls the next reference *for a specific core* (the
- * one whose clock is furthest behind), which keeps the per-core clocks
- * synchronized -- the standard discipline for multi-core trace-driven
- * simulation.
+ * The timing model pulls references *for a specific core*. Which core
+ * it asks for, and when, depends on the simulated timing (see
+ * System::run), so a source must keep its cores' streams independent
+ * of each other (the contract on next()).
  */
 class AccessSource
 {
@@ -74,6 +74,17 @@ class AccessSource
 
     /**
      * Produce core `core`'s next reference.
+     *
+     * Per-core stream contract: the sequence of references core c
+     * receives -- and the call at which its stream drains -- depends
+     * only on how many times next(c, ...) has been called, never on
+     * calls for other cores in between. System::run relies on it: a
+     * core runs its private L1 hits ahead of the other cores, so the
+     * call order differs from the order in which the references are
+     * timed. A source that draws every core from one generator breaks
+     * the contract (tests/source_order_test.cpp checks each in-tree
+     * source under two call orders).
+     *
      * @return false when that core's stream is exhausted (synthetic
      *         sources never are).
      */

@@ -17,6 +17,8 @@
 #include "sim/runner.hh"
 #include "sim/spec_json.hh"
 #include "trace/mix.hh"
+#include "trace/presets.hh"
+#include "trace/workload.hh"
 
 namespace unison {
 namespace {
@@ -144,6 +146,81 @@ TEST(CheckpointIdentity, DatacenterMixAt64Cores)
     dl.scenario->numKeys = 1ull << 12;
     dl.scenario->footprintBytes = 1ull << 20;
     spec.mix = {kv, dl};
+    expectCheckpointIdentity(spec);
+}
+
+/**
+ * A workload whose 64 KB of data stays in the L1s after first touch:
+ * each core runs long streaks of L1 hits ahead of the others, so the
+ * boundary (an odd rank) falls inside some core's run rather than at
+ * a shared-level event.
+ */
+ExperimentSpec
+hitRunSpec()
+{
+    ExperimentSpec spec = baseSpec(DesignKind::Unison);
+    WorkloadParams params = workloadParams(Workload::DataServing);
+    params.datasetBytes = 32 * kRegionBytes;
+    spec.customWorkload = params;
+    spec.accesses = 90'001;
+    spec.system.warmupAccesses = 40'007;
+    return spec;
+}
+
+std::uint64_t
+perCoreReferences(const SimResult &result)
+{
+    std::uint64_t sum = 0;
+    for (const CoreSimResult &core : result.perCore)
+        sum += core.references;
+    return sum;
+}
+
+TEST(CheckpointIdentity, BoundaryInsideARunOfL1Hits)
+{
+    const ExperimentSpec spec = hitRunSpec();
+    const SimResult cold = runExperiment(spec);
+    EXPECT_GT(cold.l1MissPercent, 0.0);
+    EXPECT_LT(cold.l1MissPercent, 5.0) << "the runs are not hit runs";
+    // The measured window is exactly references [W, N).
+    EXPECT_EQ(cold.references,
+              spec.accesses - spec.system.warmupAccesses);
+    EXPECT_EQ(perCoreReferences(cold), cold.references);
+    expectCheckpointIdentity(spec);
+}
+
+TEST(CheckpointIdentity, BoundaryInsideARunUnderBudgets)
+{
+    // Budgets that end the run before N: the window is every
+    // reference the budgets allow past W.
+    ExperimentSpec spec = hitRunSpec();
+    spec.system.perCoreAccessBudget = 20'000;
+    const SimResult budgeted = runExperiment(spec);
+    EXPECT_EQ(budgeted.references,
+              4 * spec.system.perCoreAccessBudget -
+                  spec.system.warmupAccesses);
+    EXPECT_EQ(perCoreReferences(budgeted), budgeted.references);
+    expectCheckpointIdentity(spec);
+
+    // Budgets N does not exhaust: the window ends at N again.
+    spec.system.perCoreAccessBudget = 30'000;
+    const SimResult capped = runExperiment(spec);
+    EXPECT_EQ(capped.references,
+              spec.accesses - spec.system.warmupAccesses);
+    for (const CoreSimResult &core : capped.perCore)
+        EXPECT_LE(core.references, spec.system.perCoreAccessBudget);
+    expectCheckpointIdentity(spec);
+}
+
+TEST(CheckpointIdentity, BoundaryOneBeforeTheEnd)
+{
+    // W = N - 1: one reference is measured, and a snapshot taken at
+    // that boundary still resumes byte-identically.
+    ExperimentSpec spec = hitRunSpec();
+    spec.system.warmupAccesses = spec.accesses - 1;
+    const SimResult cold = runExperiment(spec);
+    EXPECT_EQ(cold.references, 1u);
+    EXPECT_EQ(perCoreReferences(cold), 1u);
     expectCheckpointIdentity(spec);
 }
 
