@@ -20,7 +20,7 @@
 
 namespace unison {
 
-inline constexpr const char *kSimCodeVersion = "unison-sim/9";
+inline constexpr const char *kSimCodeVersion = "unison-sim/10";
 
 } // namespace unison
 

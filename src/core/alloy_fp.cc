@@ -76,19 +76,24 @@ AlloyFpCache::chargeRowScan(std::uint64_t row, Cycle start)
 }
 
 void
-AlloyFpCache::installBlock(const Location &loc, Cycle when)
+AlloyFpCache::installBlock(const Location &loc, Cycle when,
+                           bool victim_streamed)
 {
     if (org_.valid(loc.frame) && !org_.present(loc.frame, loc.tag)) {
         ++stats_.evictions;
         const std::uint64_t victim_block = org_.blockOf(loc.frame);
         if (org_.dirty(loc.frame)) {
-            const Cycle read_done =
-                stacked_
-                    ->rowAccess(geometry_.rowOfTad(loc.frame),
-                                kBlockBytes, false, when)
-                    .completion;
+            // A demand miss's probe already streamed the victim's TAD;
+            // a prefetch fill has to read the victim's data first.
+            const Cycle data_ready =
+                victim_streamed
+                    ? when
+                    : stacked_
+                          ->rowAccess(geometry_.rowOfTad(loc.frame),
+                                      kBlockBytes, false, when)
+                          .completion;
             writeback_.writeBlock(blockAddress(victim_block),
-                                  read_done);
+                                  data_ready);
         }
         const std::uint64_t victim_page =
             victim_block / config_.pageBlocks;
@@ -195,7 +200,7 @@ AlloyFpCache::access(const DramCacheRequest &req)
         // just the demanded block.
         ++stats_.blockMisses;
         const Cycle mem_done = fill_.demandBlock(req.addr, classified);
-        installBlock(loc, mem_done);
+        installBlock(loc, mem_done, true);
         // installBlock may have displaced this very page's tracking if
         // the victim was a sibling; re-find before updating.
         if (PageGroupTracker::PageInfo *info = pages_.find(loc.page)) {
@@ -226,7 +231,7 @@ AlloyFpCache::access(const DramCacheRequest &req)
         naiveStats_.pageInfoPeak = std::max<std::uint64_t>(
             naiveStats_.pageInfoPeak, pages_.size());
 
-    installBlock(loc, critical);
+    installBlock(loc, critical, true);
     if (PageGroupTracker::PageInfo *self = pages_.find(loc.page))
         self->residentMask |= bit;
 
@@ -241,7 +246,7 @@ AlloyFpCache::access(const DramCacheRequest &req)
             locate(blockAddress(page_first_block + off));
         const Cycle done =
             fill_.prefetchBlock(blockAddress(fl.block), classified);
-        installBlock(fl, done);
+        installBlock(fl, done, false);
         PageGroupTracker::PageInfo *self = pages_.find(loc.page);
         if (self == nullptr)
             break; // a sibling fill conflicted this page away entirely

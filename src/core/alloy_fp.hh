@@ -180,8 +180,11 @@ class AlloyFpCache final : public DramCache
     Cycle chargeRowScan(std::uint64_t row, Cycle start);
 
     /** Install `loc`'s block, evicting the direct-mapped victim (and
-     *  training the FHT when the victim page's last block leaves). */
-    void installBlock(const Location &loc, Cycle when);
+     *  training the FHT when the victim page's last block leaves). A
+     *  dirty victim costs a 64 B stacked read unless
+     *  `victim_streamed`: the demand probe already read its TAD. */
+    void installBlock(const Location &loc, Cycle when,
+                      bool victim_streamed);
 
     AlloyFpConfig config_;
     bool inDram_;

@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/naive_tagged_page.hh"
 #include "core/alloy_fp.hh"
@@ -28,9 +29,39 @@ namespace {
 // straw man only.
 // ---------------------------------------------------------------------
 
+/** Off-chip pool that records the issue cycle of every write. */
+class WriteRecordingPool final : public MemoryBackend
+{
+  public:
+    WriteRecordingPool()
+        : MemoryBackend(offChipDramOrganization(), offChipDramTiming()),
+          pool_(offChipDramOrganization(), offChipDramTiming())
+    {
+    }
+
+    DramAccessTiming
+    rowAccess(std::uint64_t row_idx, std::uint32_t bytes, bool is_write,
+              Cycle earliest) override
+    {
+        if (is_write)
+            writeStarts.push_back(earliest);
+        return pool_.rowAccess(row_idx, bytes, is_write, earliest);
+    }
+
+    DramPoolStats stats() const override { return pool_.stats(); }
+    void resetStats() override { pool_.resetStats(); }
+    void saveState(StateWriter &out) const override { pool_.saveState(out); }
+    void loadState(StateReader &in) override { pool_.loadState(in); }
+
+    std::vector<Cycle> writeStarts;
+
+  private:
+    DramModule pool_;
+};
+
 struct BlockFpRig
 {
-    DramModule offchip{offChipDramOrganization(), offChipDramTiming()};
+    WriteRecordingPool offchip;
     std::unique_ptr<AlloyFpCache> cache;
     Cycle clock = 0;
 
@@ -151,6 +182,29 @@ TEST_P(BlockFp, WriteHitDirtiesAndWritesBackOnEviction)
     const auto wb0 = rig.cache->stats().offchipWritebackBlocks.value();
     rig.access(rig.conflicting(100, 1)); // evicts the dirty block
     EXPECT_GT(rig.cache->stats().offchipWritebackBlocks.value(), wb0);
+}
+
+TEST_P(BlockFp, DirtyDemandVictimNeedsNoSecondRead)
+{
+    rig.access(100);
+    rig.access(100, true);
+    ASSERT_TRUE(rig.cache->blockDirty(blockAddress(100)));
+    // A read miss over the dirty frame: the probe streams the victim's
+    // whole TAD, so no 64 B read follows it (in-DRAM metadata adds its
+    // row scans, nothing else), and the writeback leaves as soon as
+    // the demand fill completes.
+    const DramPoolStats before = rig.cache->stackedDram()->stats();
+    const auto scan_bytes0 = rig.cache->naiveStats().scanBytes.value();
+    rig.offchip.writeStarts.clear();
+    const auto r = rig.access(rig.conflicting(100, 1));
+    ASSERT_FALSE(r.hit);
+    const DramPoolStats after = rig.cache->stackedDram()->stats();
+    EXPECT_EQ(after.bytesRead - before.bytesRead,
+              rig.cache->geometry().tadBytes +
+                  (rig.cache->naiveStats().scanBytes.value() -
+                   scan_bytes0));
+    ASSERT_EQ(rig.offchip.writeStarts.size(), 1u);
+    EXPECT_EQ(rig.offchip.writeStarts[0], r.doneAt);
 }
 
 TEST_P(BlockFp, ResetStatsKeepsModelState)

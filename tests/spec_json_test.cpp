@@ -485,8 +485,8 @@ TEST(SpecJsonGolden, JsonRoundTrippedSpecsReproduceContractCounters)
          4500ull},
         {DesignKind::LohHill, 164071ull, 0ull, 4777ull, 3579ull,
          3579ull},
-        {DesignKind::NaiveBlockFp, 287298ull, 3526ull, 1191ull,
-         13753ull, 20386ull},
+        {DesignKind::NaiveBlockFp, 280420ull, 3540ull, 1196ull,
+         13833ull, 20498ull},
         {DesignKind::NaiveTaggedPage, 360976ull, 3794ull, 948ull,
          19433ull, 5283ull},
         {DesignKind::Ideal, 164038ull, 4771ull, 0ull, 0ull, 4771ull},
