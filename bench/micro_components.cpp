@@ -11,7 +11,6 @@
 
 #include "baselines/alloy_cache.hh"
 #include "cache/sram_cache.hh"
-#include "core/alloy_fp.hh"
 #include "core/conflict_model.hh"
 #include "common/rng.hh"
 #include "core/unison_cache.hh"
@@ -149,7 +148,7 @@ BM_NaiveBlockFpAccess(benchmark::State &state)
     DramModule offchip(offChipDramOrganization(), offChipDramTiming());
     NaiveBlockFpConfig cfg;
     cfg.capacityBytes = 64_MiB;
-    AlloyFpCache cache(cfg, &offchip, BlockFpMetadata::InDram);
+    AlloyCache cache(cfg, &offchip, BlockFpMetadata::InDram);
     Rng rng(11);
     Cycle clock = 0;
     for (auto _ : state) {

@@ -41,8 +41,8 @@ main(int argc, char **argv)
 
     const std::vector<DesignKind> designs = {
         DesignKind::NoDramCache, DesignKind::Alloy,
-        DesignKind::LohHill,  DesignKind::Footprint,
-        DesignKind::Unison,      DesignKind::Ideal,
+        DesignKind::Footprint,   DesignKind::Unison,
+        DesignKind::Ideal,
     };
 
     Table table({"design", "miss%", "fp_acc%", "fp_over%", "wp_acc%",

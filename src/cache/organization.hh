@@ -8,16 +8,14 @@
  * (core/fill_engine.hh); the organizations own the packed-SoA tag
  * state and the branch-reduced scans from cache/set_scan.hh.
  *
- * Three tag granularities cover the whole design space of the paper:
+ * Two tag granularities cover the designs the paper evaluates:
  *
  *  - PageOrganization: page-granular frames in set-associative sets
  *    (Unison Cache, Footprint Cache; associativity 1 degenerates to
  *    the direct-mapped tagged-page straw man);
  *  - DirectOrganization: direct-mapped block frames with one packed
- *    32-bit tag word each (Alloy Cache and the block-footprint splice
- *    behind `alloyfp` and `naiveblockfp`);
- *  - RowSetOrganization: one DRAM row per set with a wide way array
- *    (the Loh-Hill organization).
+ *    32-bit tag word each (the block body behind `alloy`, `alloyfp`
+ *    and `naiveblockfp`).
  *
  * None of these charge any timing: *where* tags live decides what the
  * design's access path must read, and that is the design's own
@@ -33,7 +31,6 @@
 
 #include "cache/page_set.hh"
 #include "cache/set_scan.hh"
-#include "cache/set_scan_simd.hh"
 #include "common/fastdiv.hh"
 #include "common/flat_map.hh"
 #include "common/prefault.hh"
@@ -298,96 +295,6 @@ class DirectOrganization
     std::vector<std::uint32_t> words_;
     /** Full tags of the frames whose tag field holds kEscape. */
     FlatU64Map<std::uint64_t> wideTags_;
-};
-
-/**
- * Row-as-set organization (Loh-Hill): every DRAM row is one very wide
- * set (113 ways of 8 B tag + 64 B data); packed tag words and LRU
- * stamps live in two parallel arrays indexed `set * waysPerSet + way`.
- */
-class RowSetOrganization
-{
-  public:
-    RowSetOrganization() = default;
-
-    void
-    init(std::uint64_t num_sets, std::uint32_t ways_per_set)
-    {
-        numSets_ = num_sets;
-        waysPerSet_ = ways_per_set;
-        numSetsDiv_.init(num_sets);
-        assignPrefaulted(tagv_, num_sets * ways_per_set, 0);
-        assignPrefaulted(lastUse_, num_sets * ways_per_set, 0);
-    }
-
-    /** Set and tag of a global block number. */
-    void
-    locate(std::uint64_t block, std::uint64_t &set,
-           std::uint64_t &tag) const
-    {
-        numSetsDiv_.divMod(block, tag, set);
-    }
-
-    /** Global block number resident in (set, way). */
-    std::uint64_t
-    blockOf(std::uint64_t set, std::uint32_t way) const
-    {
-        return (tagv_[base(set) + way] & kWayTagMask) * numSets_ + set;
-    }
-
-    std::size_t
-    base(std::uint64_t set) const
-    {
-        return static_cast<std::size_t>(set) * waysPerSet_;
-    }
-
-    int
-    findWay(std::uint64_t set, std::uint64_t tag) const
-    {
-        return scanWaysFast(&tagv_[base(set)], waysPerSet_,
-                            ~kWayDirtyBit, kWayValidBit | tag);
-    }
-
-    int
-    pickVictim(std::uint64_t set) const
-    {
-        const std::size_t b = base(set);
-        return static_cast<int>(pickVictimWayFast(
-            &tagv_[b], &lastUse_[b], waysPerSet_, kWayValidBit));
-    }
-
-    std::uint64_t &tagWord(std::size_t idx) { return tagv_[idx]; }
-    const std::uint64_t &
-    tagWord(std::size_t idx) const
-    {
-        return tagv_[idx];
-    }
-    std::uint32_t &lastUse(std::size_t idx) { return lastUse_[idx]; }
-
-    std::uint64_t numSets() const { return numSets_; }
-    std::uint32_t waysPerSet() const { return waysPerSet_; }
-
-    /** Warm-state checkpoint of the tag and LRU arrays. */
-    void
-    saveState(StateWriter &out) const
-    {
-        out.podVector(tagv_);
-        out.podVector(lastUse_);
-    }
-
-    void
-    loadState(StateReader &in)
-    {
-        in.podVectorExact(tagv_);
-        in.podVectorExact(lastUse_);
-    }
-
-  private:
-    std::uint64_t numSets_ = 1;
-    std::uint32_t waysPerSet_ = 1;
-    FastDiv64 numSetsDiv_;
-    std::vector<std::uint64_t> tagv_;
-    std::vector<std::uint32_t> lastUse_;
 };
 
 } // namespace unison

@@ -67,11 +67,11 @@ scanWaysMru(const std::uint64_t *tags, std::uint32_t assoc,
  * The replacement order every design here uses -- first invalid way,
  * else smallest stamp, lowest way on stamp ties -- becomes a plain
  * unsigned min over these keys, and the winning way index rides in the
- * low byte (which caps supported associativity at 256 ways; the widest
- * organization, Loh-Hill's row set, uses 113). Keys within a set are
- * unique because of that low byte, so the min is order-independent --
- * which is what lets the scalar and SIMD scans below, and the strided
- * page-set victim scan, all share this one definition.
+ * low byte (which caps supported associativity at 256 ways; the page
+ * designs allow at most 32). Keys within a set are unique because of
+ * that low byte, so the min is order-independent -- which is what lets
+ * the scalar and SIMD scans below, and the strided page-set victim
+ * scan, all share this one definition.
  */
 inline std::uint64_t
 victimOrderKey(std::uint64_t word, std::uint32_t stamp, std::uint32_t w,
@@ -109,27 +109,6 @@ scanSet(const std::uint64_t *tags, const std::uint32_t *last_use,
     }
     hit_way = hit;
     victim_way = static_cast<std::uint32_t>(best & 255);
-}
-
-/**
- * Victim selection over packed tags + LRU stamps: the first way whose
- * `valid_bit` is clear, else the way with the smallest stamp (first
- * one wins ties). Same branchless victimOrderKey min as scanSet's
- * fused victim half -- an invalid way's key is just its index, below
- * every valid key, so the min lands on the lowest invalid way exactly
- * as the old early-exit loop did.
- */
-inline std::uint32_t
-pickVictimWay(const std::uint64_t *tags, const std::uint32_t *last_use,
-              std::uint32_t assoc, std::uint64_t valid_bit)
-{
-    std::uint64_t best = ~0ull;
-    for (std::uint32_t w = assoc; w-- > 0;) {
-        const std::uint64_t vk =
-            victimOrderKey(tags[w], last_use[w], w, valid_bit);
-        best = vk < best ? vk : best;
-    }
-    return static_cast<std::uint32_t>(best & 255);
 }
 
 } // namespace unison

@@ -15,17 +15,17 @@
  *  - run time: one cached `__builtin_cpu_supports("avx2")` probe picks
  *    the AVX2 kernels (compiled with a `target("avx2")` attribute so
  *    the rest of the binary stays baseline x86-64); without AVX2 the
- *    hit scan falls back to a 2-wide SSE2 kernel and the victim scans
- *    to the scalar encoded-min loops, because baseline SSE2 has no
+ *    hit scan falls back to a 2-wide SSE2 kernel and the fused scan
+ *    to the scalar encoded-min loop, because baseline SSE2 has no
  *    64-bit compares (pcmpeqq/pcmpgtq are SSE4.1/4.2) -- the 64-bit
  *    equality below is synthesized from pcmpeqd + a lane-swapped AND.
  *
  * Every kernel returns bit-identical results to its scalar reference:
  * the lowest matching way for hit scans (at most one way can match in
  * a live set, but the property tests feed duplicates), and the unique
- * victimOrderKey minimum for victim scans. tests/set_scan_simd_test.cpp
- * fuzzes that equivalence across assoc 1-32 and the 113-way row-set
- * shape.
+ * victimOrderKey minimum for the victim half of the fused scan.
+ * tests/set_scan_simd_test.cpp fuzzes that equivalence across assoc
+ * 1-32 and a wide 113-way set.
  */
 
 #ifndef UNISON_CACHE_SET_SCAN_SIMD_HH
@@ -180,45 +180,6 @@ scanSetAvx2(const std::uint64_t *tags, const std::uint32_t *last_use,
     victim_way = static_cast<std::uint32_t>(best & 255);
 }
 
-/** Victim-only sweep: scanSetAvx2 minus the hit compare. */
-__attribute__((target("avx2"))) inline std::uint32_t
-pickVictimWayAvx2(const std::uint64_t *tags,
-                  const std::uint32_t *last_use, std::uint32_t assoc,
-                  std::uint64_t valid_bit)
-{
-    const __m256i vvalid =
-        _mm256_set1_epi64x(static_cast<long long>(valid_bit));
-    const __m256i sign = _mm256_set1_epi64x(
-        static_cast<long long>(1ull << 63));
-    const __m256i step = _mm256_set1_epi64x(4);
-    __m256i vidx = _mm256_set_epi64x(3, 2, 1, 0);
-    __m256i vbest = _mm256_set1_epi64x(-1);
-    std::uint32_t w = 0;
-    for (; w + 4 <= assoc; w += 4) {
-        const __m256i words = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        const __m256i stamps = _mm256_cvtepu32_epi64(_mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(last_use + w)));
-        const __m256i validm = _mm256_cmpeq_epi64(
-            _mm256_and_si256(words, vvalid), vvalid);
-        const __m256i encoded = _mm256_or_si256(
-            _mm256_or_si256(sign, _mm256_slli_epi64(stamps, 8)), vidx);
-        const __m256i vk =
-            _mm256_blendv_epi8(vidx, encoded, validm);
-        const __m256i worse = _mm256_cmpgt_epi64(
-            _mm256_xor_si256(vbest, sign), _mm256_xor_si256(vk, sign));
-        vbest = _mm256_blendv_epi8(vbest, vk, worse);
-        vidx = _mm256_add_epi64(vidx, step);
-    }
-    std::uint64_t best = victimKeyMinAvx2(vbest);
-    for (; w < assoc; ++w) {
-        const std::uint64_t vk =
-            victimOrderKey(tags[w], last_use[w], w, valid_bit);
-        best = vk < best ? vk : best;
-    }
-    return static_cast<std::uint32_t>(best & 255);
-}
-
 } // namespace simd_detail
 
 #endif // UNISON_SET_SCAN_SIMD
@@ -264,20 +225,6 @@ scanSetFast(const std::uint64_t *tags, const std::uint32_t *last_use,
 #endif
     scanSet(tags, last_use, assoc, mask, key, valid_bit, hit_way,
             victim_way);
-}
-
-/** pickVictimWay with the best kernel the build + host support. */
-inline std::uint32_t
-pickVictimWayFast(const std::uint64_t *tags,
-                  const std::uint32_t *last_use, std::uint32_t assoc,
-                  std::uint64_t valid_bit)
-{
-#if UNISON_SET_SCAN_SIMD
-    if (assoc >= 4 && simd_detail::kHaveAvx2)
-        return simd_detail::pickVictimWayAvx2(tags, last_use, assoc,
-                                              valid_bit);
-#endif
-    return pickVictimWay(tags, last_use, assoc, valid_bit);
 }
 
 } // namespace unison

@@ -4,8 +4,7 @@
  *
  * Building a System zero-fills every tag, LRU and predictor array it
  * owns, and at paper scale those are big: Alloy Cache keeps one 4-byte
- * tag word per 72-byte TAD, 56 MiB of them for a 1 GB cache, and the
- * Loh-Hill row-set tags and LRU stamps take 170 MiB there. The fill
+ * tag word per 72-byte TAD, 56 MiB of them for a 1 GB cache. The fill
  * takes one minor page fault per 4 KiB page, and the faults -- not the
  * stores -- are most of the set-up time. assignPrefaulted() first has
  * the kernel populate the fresh buffer from several threads at once

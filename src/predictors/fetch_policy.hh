@@ -10,7 +10,7 @@
  *    singleton table lets one-block pages bypass allocation entirely;
  *  - full-page: the same policy with prediction disabled -- every
  *    trigger miss fetches the whole page;
- *  - single-block (Alloy Cache, Loh-Hill): SingleBlockFetchPolicy,
+ *  - single-block (Alloy Cache): SingleBlockFetchPolicy,
  *    which fetches exactly the demanded block and learns nothing.
  *
  * The policies own the predictor state (predictors/footprint_table.hh,
@@ -169,7 +169,7 @@ class FootprintFetchPolicy
     SingletonTable singletons_;
 };
 
-/** Fetch exactly the demanded block; learn nothing (Alloy, Loh-Hill). */
+/** Fetch exactly the demanded block; learn nothing (Alloy). */
 struct SingleBlockFetchPolicy
 {
     FetchDecision

@@ -26,11 +26,6 @@ static_assert(std::is_same_v<std::variant_alternative_t<
                              FootprintCacheConfig>);
 static_assert(std::is_same_v<std::variant_alternative_t<
                                  static_cast<std::size_t>(
-                                     DesignKind::LohHill),
-                                 DesignVariant>,
-                             LohHillConfig>);
-static_assert(std::is_same_v<std::variant_alternative_t<
-                                 static_cast<std::size_t>(
                                      DesignKind::NaiveBlockFp),
                                  DesignVariant>,
                              NaiveBlockFpConfig>);
@@ -65,7 +60,6 @@ DesignRegistry::instance()
         r.add(unisonDesignInfo());
         r.add(alloyDesignInfo());
         r.add(footprintDesignInfo());
-        r.add(lohHillDesignInfo());
         r.add(naiveBlockFpDesignInfo());
         r.add(naiveTaggedPageDesignInfo());
         r.add(alloyFpDesignInfo());

@@ -18,13 +18,13 @@
  *
  * Each design defines its own `DesignInfo` next to its implementation
  * (the baselines/ and core/ source files; designs that share one body,
- * such as `unison`/`footprint` and `alloyfp`/`naiveblockfp`, share its
- * file) and the registry pulls them in once on first use. The variant
- * is deliberately closed: adding a design means one new source file
- * plus a DesignKind enumerator, a DesignVariant alternative and an
- * add() call here (see README "Adding a new cache design"); add()
- * rejects duplicate ids and kinds so every registered design stays
- * reachable.
+ * such as `unison`/`footprint` and `alloy`/`alloyfp`/`naiveblockfp`,
+ * share its file) and the registry pulls them in once on first use.
+ * The variant is deliberately closed: adding a design means one new
+ * source file plus a DesignKind enumerator, a DesignVariant
+ * alternative and an add() call here (see README "Adding a new cache
+ * design"); add() rejects duplicate ids and kinds so every registered
+ * design stays reachable.
  */
 
 #ifndef UNISON_SIM_DESIGN_REGISTRY_HH
@@ -39,12 +39,10 @@
 
 #include "baselines/alloy_cache.hh"
 #include "baselines/ideal_cache.hh"
-#include "baselines/lohhill_cache.hh"
 #include "baselines/naive_tagged_page.hh"
 #include "baselines/no_cache.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "core/alloy_fp.hh"
 #include "core/unison_cache.hh"
 
 namespace unison {
@@ -57,7 +55,6 @@ enum class DesignKind
     Unison,
     Alloy,
     Footprint,
-    LohHill,  //!< Loh & Hill MICRO'11 (Sec. II-A discussion baseline)
     NaiveBlockFp,     //!< Sec. III-B.1 rejected design (Fig. 4a)
     NaiveTaggedPage,  //!< Sec. III-B.2 rejected design (Fig. 4b)
     Ideal,
@@ -74,9 +71,8 @@ enum class DesignKind
  */
 using DesignVariant =
     std::variant<UnisonConfig, AlloyConfig, FootprintCacheConfig,
-                 LohHillConfig, NaiveBlockFpConfig,
-                 NaiveTaggedPageConfig, IdealConfig, NoCacheConfig,
-                 AlloyFpConfig>;
+                 NaiveBlockFpConfig, NaiveTaggedPageConfig, IdealConfig,
+                 NoCacheConfig, AlloyFpConfig>;
 
 /** Spec-level values the factory folds into the design config. */
 struct DesignBuildContext
@@ -175,7 +171,6 @@ class DesignConfig
     DesignConfig(UnisonConfig c) : v_(std::move(c)) {}
     DesignConfig(AlloyConfig c) : v_(std::move(c)) {}
     DesignConfig(FootprintCacheConfig c) : v_(std::move(c)) {}
-    DesignConfig(LohHillConfig c) : v_(std::move(c)) {}
     DesignConfig(NaiveBlockFpConfig c) : v_(std::move(c)) {}
     DesignConfig(NaiveTaggedPageConfig c) : v_(std::move(c)) {}
     DesignConfig(IdealConfig c) : v_(std::move(c)) {}
@@ -230,12 +225,11 @@ std::string designId(DesignKind kind);
 DesignInfo unisonDesignInfo();          // src/core/unison_cache.cc
 DesignInfo alloyDesignInfo();           // src/baselines/alloy_cache.cc
 DesignInfo footprintDesignInfo();       // src/core/unison_cache.cc
-DesignInfo lohHillDesignInfo();         // src/baselines/lohhill_cache.cc
-DesignInfo naiveBlockFpDesignInfo();    // src/core/alloy_fp.cc
+DesignInfo naiveBlockFpDesignInfo();    // src/baselines/alloy_cache.cc
 DesignInfo naiveTaggedPageDesignInfo(); // src/baselines/naive_tagged_page.cc
 DesignInfo idealDesignInfo();           // src/baselines/simple_designs.cc
 DesignInfo noCacheDesignInfo();         // src/baselines/simple_designs.cc
-DesignInfo alloyFpDesignInfo();         // src/core/alloy_fp.cc
+DesignInfo alloyFpDesignInfo();         // src/baselines/alloy_cache.cc
 /**@}*/
 
 /** @name Knob-table helpers

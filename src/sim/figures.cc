@@ -123,33 +123,6 @@ fig8Grid(const FigureOptions &opts)
     return grid.points();
 }
 
-// ------------------------------------------------------ sensitivity
-
-/** Fig. 7 sensitivity companion: AC-vs-UC ordering as page-level
- *  temporal reuse (region Zipf skew) rises. */
-std::vector<GridPoint>
-sensitivityGrid(const FigureOptions &opts)
-{
-    const std::vector<double> alphas = {0.60, 0.85, 1.00, 1.10, 1.20};
-    const std::vector<std::string> labels = {"0.60", "0.85", "1.00",
-                                             "1.10", "1.20"};
-    ExperimentSpec base = baseSpec(opts);
-    base.capacityBytes = 64_MiB;
-    base.accesses = opts.quick ? 2'500'000 : 10'000'000;
-
-    SweepGrid grid(base);
-    grid.overKnob<double>(
-        "alpha", alphas, labels,
-        [](ExperimentSpec &spec, const double &alpha) {
-            WorkloadParams p = workloadParams(Workload::DataServing);
-            p.regionZipfAlpha = alpha;
-            spec.customWorkload = p;
-        });
-    grid.overDesigns({DesignKind::NoDramCache, DesignKind::Alloy,
-                      DesignKind::Unison});
-    return grid.points();
-}
-
 // ------------------------------------------------------------ table5
 
 /** Predictor accuracies: Alloy, Footprint, Unison@960B and
@@ -471,9 +444,6 @@ const FigureEntry kFigures[] = {
      fig6Grid},
     {"fig7", "CloudSuite speedup vs capacity over no-DRAM-cache",
      fig7Grid},
-    {"fig7sens",
-     "AC-vs-UC ordering vs page-level temporal reuse (companion)",
-     sensitivityGrid},
     {"fig8", "TPC-H speedup, 1-8GB caches", fig8Grid},
     {"table5", "predictor accuracy per workload", table5Grid},
     {"ablation", "Unison design-choice ablations @ 1GB", ablationGrid},

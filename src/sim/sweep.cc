@@ -90,12 +90,8 @@ SweepGrid::overKnob(const std::string &name, const std::vector<T> &values,
     return over(name, std::move(axis));
 }
 
-// The label overload is used with these value types today; others go
+// The label overload is used with this value type today; others go
 // through the std::to_string overload in the header.
-template SweepGrid &SweepGrid::overKnob<double>(
-    const std::string &, const std::vector<double> &,
-    const std::vector<std::string> &,
-    std::function<void(ExperimentSpec &, const double &)>);
 template SweepGrid &SweepGrid::overKnob<std::uint32_t>(
     const std::string &, const std::vector<std::uint32_t> &,
     const std::vector<std::string> &,

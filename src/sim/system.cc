@@ -811,7 +811,9 @@ System::fillPredictorStats(SimResult &result) const
 {
     // Design-specific accuracy fields, recovered through the kind tag.
     // Both classes are final and tag themselves, so no out-of-tree
-    // (`Other`) subclass can be one of them.
+    // (`Other`) subclass can be one of them. The block body tags only
+    // `alloy` as Alloy: its grouping splices build no miss predictor
+    // and tag themselves Other.
     const MissPredictor *mp = nullptr;
     switch (cache_->kind()) {
       case DramCacheKind::Unison: {

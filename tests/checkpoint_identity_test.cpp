@@ -65,9 +65,9 @@ TEST(CheckpointIdentity, EveryCheckpointableDesign)
 {
     for (DesignKind d :
          {DesignKind::Unison, DesignKind::Alloy, DesignKind::Footprint,
-          DesignKind::LohHill, DesignKind::NaiveBlockFp,
-          DesignKind::NaiveTaggedPage, DesignKind::AlloyFp,
-          DesignKind::Ideal, DesignKind::NoDramCache}) {
+          DesignKind::NaiveBlockFp, DesignKind::NaiveTaggedPage,
+          DesignKind::AlloyFp, DesignKind::Ideal,
+          DesignKind::NoDramCache}) {
         SCOPED_TRACE(designId(d));
         expectCheckpointIdentity(baseSpec(d));
     }

@@ -10,9 +10,9 @@
 
 #include <memory>
 
+#include "baselines/alloy_cache.hh"
 #include "baselines/naive_tagged_page.hh"
 #include "common/argparse.hh"
-#include "core/alloy_fp.hh"
 #include "core/conflict_model.hh"
 #include "core/geometry.hh"
 #include "core/unison_cache.hh"
@@ -76,7 +76,7 @@ TEST(FailureModes, NaiveBlockFpRejectsNonPowerOfTwoPages)
     NaiveBlockFpConfig cfg;
     cfg.capacityBytes = 128_MiB;
     cfg.pageBlocks = 15; // the point of that design needs 2^n grouping
-    EXPECT_DEATH(AlloyFpCache(cfg, &offchip, BlockFpMetadata::InDram),
+    EXPECT_DEATH(AlloyCache(cfg, &offchip, BlockFpMetadata::InDram),
                  "power of two");
 }
 

@@ -3,9 +3,8 @@
  * The paper's central latency claim, measured directly: Unison Cache
  * overlaps the per-page tag burst with the way-predicted data read, so
  * its unloaded hit latency matches Alloy Cache's single TAD stream
- * (Sec. III-A, first insight) -- while the Loh-Hill design pays
- * tag-then-data serialization plus the MissMap, and Footprint Cache
- * pays its SRAM tag latency in front of the data access (Table II's
+ * (Sec. III-A, first insight) -- while Footprint Cache pays its SRAM
+ * tag latency in front of the data access (Table II's
  * "Hit Latency" row). These tests build each design on an idle system
  * and compare second-access (warm, unloaded) hit latencies.
  */
@@ -59,18 +58,6 @@ TEST(HitLatency, UnisonMatchesAlloyWithinTagBurst)
     const Cycle unison = warmHitLatency(DesignKind::Unison);
     EXPECT_LE(unison, alloy + 6);
     EXPECT_GE(unison + 6, alloy);
-}
-
-TEST(HitLatency, LohHillPaysSerializationAndMissMap)
-{
-    // Loh-Hill: MissMap lookup + tag read, then a dependent data read.
-    const Cycle unison = warmHitLatency(DesignKind::Unison);
-    const Cycle lohhill = warmHitLatency(DesignKind::LohHill);
-    EXPECT_GT(lohhill, unison);
-    // The gap is at least a CAS-class access (the serialized data
-    // read can only start after the tag resolves).
-    DramModule stacked(stackedDramOrganization(), stackedDramTiming());
-    EXPECT_GE(lohhill - unison, stacked.timing().cas / 2);
 }
 
 TEST(HitLatency, FootprintPaysSramTagInFront)

@@ -94,8 +94,7 @@ TEST_P(DesignSweep, CacheCountersConserve)
 INSTANTIATE_TEST_SUITE_P(
     AllDesigns, DesignSweep,
     ::testing::Values(DesignKind::Unison, DesignKind::Alloy,
-                      DesignKind::Footprint, DesignKind::LohHill,
-                      DesignKind::NaiveBlockFp,
+                      DesignKind::Footprint, DesignKind::NaiveBlockFp,
                       DesignKind::NaiveTaggedPage, DesignKind::Ideal,
                       DesignKind::NoDramCache),
     [](const ::testing::TestParamInfo<DesignKind> &info) {
@@ -216,8 +215,7 @@ TEST(SystemOrdering, AutoLengthScalesWithCapacityAndQuickDividesIt)
 TEST(SystemOrdering, EveryDesignKindHasAName)
 {
     for (DesignKind d : {DesignKind::Unison, DesignKind::Alloy,
-                         DesignKind::Footprint, DesignKind::LohHill,
-                         DesignKind::NaiveBlockFp,
+                         DesignKind::Footprint, DesignKind::NaiveBlockFp,
                          DesignKind::NaiveTaggedPage, DesignKind::Ideal,
                          DesignKind::NoDramCache}) {
         EXPECT_FALSE(designName(d).empty());

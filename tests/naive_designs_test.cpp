@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "baselines/alloy_cache.hh"
 #include "baselines/naive_tagged_page.hh"
-#include "core/alloy_fp.hh"
 #include "dram/dram.hh"
 
 namespace unison {
@@ -62,7 +62,7 @@ class WriteRecordingPool final : public MemoryBackend
 struct BlockFpRig
 {
     WriteRecordingPool offchip;
-    std::unique_ptr<AlloyFpCache> cache;
+    std::unique_ptr<AlloyCache> cache;
     Cycle clock = 0;
 
     explicit BlockFpRig(BlockFpMetadata metadata = BlockFpMetadata::InDram,
@@ -70,7 +70,7 @@ struct BlockFpRig
     {
         AlloyFpConfig cfg;
         cfg.capacityBytes = capacity;
-        cache = std::make_unique<AlloyFpCache>(cfg, &offchip, metadata);
+        cache = std::make_unique<AlloyCache>(cfg, &offchip, metadata);
     }
 
     DramCacheResult

@@ -189,27 +189,6 @@ TEST(DirectOrganization, MisshapenCheckpointLeavesEveryFrameEmpty)
         EXPECT_FALSE(org.valid(frame)) << "frame " << frame;
 }
 
-TEST(RowSetOrganization, TagsDoNotAliasAcross2To32Sets)
-{
-    RowSetOrganization org;
-    org.init(7, 4);
-    const std::uint64_t a = 5;
-    const std::uint64_t b = 5 + 7 * k2To32;
-
-    std::uint64_t set_a, set_b, tag_a, tag_b;
-    org.locate(a, set_a, tag_a);
-    org.locate(b, set_b, tag_b);
-    ASSERT_EQ(set_b, set_a);
-    EXPECT_NE(tag_b, tag_a);
-
-    const int way = org.pickVictim(set_a);
-    org.tagWord(org.base(set_a) + static_cast<std::size_t>(way)) =
-        kWayValidBit | tag_a;
-    EXPECT_EQ(org.findWay(set_a, tag_a), way);
-    EXPECT_EQ(org.findWay(set_b, tag_b), -1);
-    EXPECT_EQ(org.blockOf(set_a, static_cast<std::uint32_t>(way)), a);
-}
-
 TEST(PageOrganization, TagsDoNotAliasAcross2To32Sets)
 {
     PageOrganization org;

@@ -74,16 +74,25 @@ TEST(SetScan, VictimPrefersInvalidThenLru)
     std::uint64_t tags[4] = {kValid | 1, kValid | 2, kValid | 3,
                              kValid | 4};
     std::uint32_t last_use[4] = {40, 10, 30, 20};
+    // The victim half of the fused scan, probing a tag no way holds.
+    const auto victim = [&](std::uint32_t assoc) {
+        int hit = 0;
+        std::uint32_t way = 99;
+        scanSet(tags, last_use, assoc, ~0ull, kValid | 9, kValid, hit,
+                way);
+        EXPECT_EQ(hit, -1);
+        return way;
+    };
     // All valid: LRU way (smallest stamp) wins.
-    EXPECT_EQ(pickVictimWay(tags, last_use, 4, kValid), 1u);
+    EXPECT_EQ(victim(4), 1u);
     // First-wins on stamp ties.
     last_use[3] = 10;
-    EXPECT_EQ(pickVictimWay(tags, last_use, 4, kValid), 1u);
+    EXPECT_EQ(victim(4), 1u);
     // An invalid way beats any stamp.
     tags[2] = 0;
-    EXPECT_EQ(pickVictimWay(tags, last_use, 4, kValid), 2u);
+    EXPECT_EQ(victim(4), 2u);
     // Assoc 1 degenerates to way 0.
-    EXPECT_EQ(pickVictimWay(tags, last_use, 1, kValid), 0u);
+    EXPECT_EQ(victim(1), 0u);
 }
 
 TEST(SetScan, PageWaySoaNonPowerOfTwoSets)

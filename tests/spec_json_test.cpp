@@ -424,7 +424,7 @@ TEST(SpecJson, ResultsDocumentSortsByIndex)
 TEST(DesignRegistryTable, SingleSourceOfNames)
 {
     const DesignRegistry &registry = DesignRegistry::instance();
-    EXPECT_EQ(registry.all().size(), 9u);
+    EXPECT_EQ(registry.all().size(), 8u);
     EXPECT_EQ(designName(DesignKind::Unison), "Unison Cache");
     EXPECT_EQ(designId(DesignKind::AlloyFp), "alloyfp");
     EXPECT_EQ(designId(DesignKind::NoDramCache), "nocache");
@@ -483,8 +483,6 @@ TEST(SpecJsonGolden, JsonRoundTrippedSpecsReproduceContractCounters)
         {DesignKind::Alloy, 167742ull, 0ull, 4761ull, 3564ull, 9528ull},
         {DesignKind::Footprint, 337884ull, 3818ull, 894ull, 21824ull,
          4500ull},
-        {DesignKind::LohHill, 164071ull, 0ull, 4777ull, 3579ull,
-         3579ull},
         {DesignKind::NaiveBlockFp, 280420ull, 3540ull, 1196ull,
          13833ull, 20498ull},
         {DesignKind::NaiveTaggedPage, 360976ull, 3794ull, 948ull,
