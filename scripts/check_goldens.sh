@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Byte-compare every committed golden in goldens/ against a fresh run:
-# the seven paper-figure bench CSVs, the smoke spec under the detailed
-# memory backend, and the datacenter figure. Any change to simulated
-# behaviour -- tag scan order, victim choice, DRAM timing, fetch
-# policy, the timing loop -- shows up as a diff here.
+# the seven paper-figure bench CSVs, the smoke spec and the quick
+# consolidation mixes under the detailed memory backend, and the
+# datacenter figure. Any change to simulated behaviour -- tag scan
+# order, victim choice, DRAM timing, fetch policy, the timing loop --
+# shows up as a diff here.
 #
 # Usage:
 #   scripts/check_goldens.sh <build-dir>            # compare
@@ -55,6 +56,14 @@ smoke_detailed() {
         --memory-backend detailed --format json --out "$out"
 }
 check smoke_detailed.json smoke_detailed
+
+# The one golden that works the detailed controller's write queues:
+# watermark drains and FR-FCFS reorders, not only starvation drains.
+mixes_detailed() {
+    "$build/unison_sim" --figure mixes --quick --memory-backend detailed \
+        --threads "$threads" --format json --out "$out"
+}
+check mixes_detailed.json mixes_detailed
 
 datacenter() {
     "$build/unison_sim" --figure datacenter --quick --threads "$threads" \
