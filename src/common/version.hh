@@ -20,7 +20,7 @@
 
 namespace unison {
 
-inline constexpr const char *kSimCodeVersion = "unison-sim/10";
+inline constexpr const char *kSimCodeVersion = "unison-sim/11";
 
 } // namespace unison
 

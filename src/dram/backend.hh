@@ -3,7 +3,8 @@
  * The memory-backend seam: every consumer of DRAM timing (fill and
  * writeback engines, the designs' stacked pools, the off-chip pool in
  * System) talks to the abstract MemoryBackend below, never to a
- * concrete timing model. Two implementations exist:
+ * concrete timing model. Two implementations exist, both a
+ * ChannelPool (below) over a different channel type:
  *
  *  - DramModule (dram.hh): the analytic open-page model. Fast, and the
  *    default -- all goldens are pinned against it.
@@ -13,9 +14,12 @@
  *    `validation` figure grid).
  *
  * Both share DramTimingParams/DramTimingCpu, the channel/bank/row
- * interleaving, and the UNISON_DRAM_TRAFFIC_FIELDS counters, so a
- * design sees identical organization and statistics regardless of the
- * backend behind the seam.
+ * interleaving, the UNISON_DRAM_TRAFFIC_FIELDS counters, and the
+ * command timing itself: each detailed channel issues its commands
+ * through a DramChannel, so channel.cc holds the one copy of the bank,
+ * bus, activate-window and refresh arithmetic. A design sees identical
+ * organization and statistics regardless of the backend behind the
+ * seam.
  */
 
 #ifndef UNISON_DRAM_BACKEND_HH
@@ -177,6 +181,87 @@ class MemoryBackend
     DramOrganization org_;
     DramTimingCpu timing_;
     FastDiv64 rowBytesDiv_;
+};
+
+/**
+ * A pool of identical channels behind the row interleaving: the one
+ * implementation of the channel/bank split, the per-channel stats fold
+ * and the checkpoint loop. `Channel` is DramChannel (DramModule) or
+ * DetailedChannel (DetailedBackend); its constructor takes (timing,
+ * banks per channel) and then the pool's extra channel arguments.
+ */
+template <class Channel>
+class ChannelPool : public MemoryBackend
+{
+  public:
+    DramAccessTiming
+    rowAccess(std::uint64_t row_idx, std::uint32_t bytes, bool is_write,
+              Cycle earliest) final
+    {
+        std::uint64_t per_channel, channel, row, bank;
+        chDiv_.divMod(row_idx, per_channel, channel);
+        bankDiv_.divMod(per_channel, row, bank);
+        return channels_[channel].access(static_cast<int>(bank), row,
+                                         bytes, is_write, earliest);
+    }
+
+    DramPoolStats
+    stats() const final
+    {
+        DramPoolStats agg;
+        for (const Channel &ch : channels_)
+            agg.add(ch.stats());
+        return agg;
+    }
+
+    void
+    resetStats() final
+    {
+        for (Channel &ch : channels_)
+            ch.resetStats();
+    }
+
+    void
+    saveState(StateWriter &out) const final
+    {
+        for (const Channel &ch : channels_)
+            ch.saveState(out);
+    }
+
+    void
+    loadState(StateReader &in) final
+    {
+        for (Channel &ch : channels_)
+            ch.loadState(in);
+    }
+
+    /** Per-channel access for the tests. */
+    Channel &channel(int idx) { return channels_[idx]; }
+
+  protected:
+    template <class... ChannelArgs>
+    ChannelPool(const DramOrganization &org, const DramTimingParams &params,
+                ChannelArgs... channel_args)
+        : MemoryBackend(org, params),
+          chDiv_(static_cast<std::uint64_t>(org.numChannels)),
+          bankDiv_(static_cast<std::uint64_t>(org.banksPerChannel))
+    {
+        channels_.reserve(org_.numChannels);
+        for (int c = 0; c < org_.numChannels; ++c)
+            channels_.emplace_back(timing_, org_.banksPerChannel,
+                                   channel_args...);
+    }
+
+    /** By value: the per-access channel lookup is one index, not a
+     *  pointer chase. */
+    std::vector<Channel> channels_;
+
+  private:
+    /** Invariant-divisor splits of the row index (the channel/bank
+     *  counts are runtime values, so plain '/' was a hardware divide
+     *  on every access). */
+    FastDiv64 chDiv_;
+    FastDiv64 bankDiv_;
 };
 
 /** Construct the backend selected by `org.backend`. */

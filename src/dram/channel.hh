@@ -2,15 +2,19 @@
  * @file
  * One DRAM channel: per-bank row-buffer state machines, the shared
  * data bus, and the activate-rate limits (tRRD / tFAW). This is the
- * timing core of the DRAMSim2 substitute described in DESIGN.md.
+ * timing core of the DRAMSim2 substitute described in DESIGN.md, and
+ * channel.cc is the one copy of the bank, bus, activate-window and
+ * refresh arithmetic: both memory backends time every DRAM command
+ * through DramChannel::access.
  *
  * The model is open-page FCFS: requests are timed in the order they
  * arrive, each respecting bank state, bus occupancy and the activate
  * windows. Full FR-FCFS reordering is approximated by the open-row
  * window (see DramOrganization::openRowWindow); the cycle-accurate
- * FR-FCFS controller behind the same MemoryBackend seam lives in
- * detailed.hh, and the `validation` figure grid measures where this
- * approximation diverges from it.
+ * FR-FCFS controller behind the same MemoryBackend seam (detailed.hh)
+ * puts a write queue in front of a DramChannel with window 1, and the
+ * `validation` figure grid measures where the approximation diverges
+ * from it.
  */
 
 #ifndef UNISON_DRAM_CHANNEL_HH
@@ -43,7 +47,7 @@ namespace unison {
     X(T, bytesWritten)                                                  \
     X(T, refreshes)
 
-/** Counters kept per channel (aggregated by DramModule). */
+/** Counters kept per channel (summed by the pool, ChannelPool). */
 struct DramChannelStats
 {
     UNISON_STAT_STRUCT_BODY_T(UNISON_DRAM_TRAFFIC_FIELDS, Counter)
@@ -82,6 +86,10 @@ class DramChannel
     Cycle busFreeAt() const { return busFreeAt_; }
 
     int numBanks() const { return static_cast<int>(banks_.size()); }
+
+    /** Most recently opened row of `bank` (~0 when the bank is
+     *  closed): the FR-FCFS drain pick of the detailed controller. */
+    std::uint64_t openRow(int bank) const { return banks_[bank].openRows[0]; }
 
     /** Warm-state checkpoint of the bank/bus/refresh state machines
      *  (statistics excluded by the state_io.hh contract). */

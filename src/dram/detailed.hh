@@ -2,8 +2,10 @@
  * @file
  * The cycle-accurate FR-FCFS controller (the "detailed" MemoryBackend).
  *
- * Each channel keeps strict single-open-row bank state machines plus a
- * bounded write queue. Writes are posted: they complete at acceptance
+ * Each channel is a bounded write queue in front of a DramChannel
+ * (channel.cc, the one copy of the bank, bus, activate-window and
+ * refresh arithmetic) with a strict single open row per bank
+ * (open-row window 1). Writes are posted: they complete at acceptance
  * and retire later, drained in FR-FCFS order (row hits first, oldest
  * otherwise) when the queue crosses its high watermark -- draining down
  * to the low watermark -- or when a queued write has been bypassed by
@@ -12,9 +14,9 @@
  * model's open-row window approximates.
  *
  * Under zero contention (one request in flight, no queued writes) a
- * read takes the same cycle count here as through DramModule with
- * openRowWindow=1 -- the column/bus/refresh arithmetic is shared by
- * construction, and the backend-equivalence tests pin that.
+ * read therefore takes the same cycle count here as through DramModule
+ * with openRowWindow=1: both time it with the same DramChannel::access,
+ * and the backend-equivalence tests pin that.
  */
 
 #ifndef UNISON_DRAM_DETAILED_HH
@@ -22,9 +24,7 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
-#include "common/fastdiv.hh"
 #include "common/state_io.hh"
 #include "dram/backend.hh"
 #include "dram/channel.hh"
@@ -45,19 +45,22 @@ class DetailedChannel
      *  the next read is serviced. */
     static constexpr int kStarvationCap = 16;
 
-    DetailedChannel(const DramTimingCpu &timing, int num_banks);
+    DetailedChannel(const DramTimingCpu &timing, int num_banks)
+        : cmd_(timing, num_banks, /*open_row_window=*/1)
+    {
+    }
 
     DramAccessTiming access(int bank, std::uint64_t row,
                             std::uint32_t bytes, bool is_write,
                             Cycle earliest);
 
-    const DramChannelStats &stats() const { return stats_; }
+    const DramChannelStats &stats() const { return cmd_.stats(); }
     const MemoryQueueStats &queueStats() const { return qstats_; }
 
     void
     resetStats()
     {
-        stats_.reset();
+        cmd_.resetStats();
         qstats_ = MemoryQueueStats{};
     }
 
@@ -66,20 +69,25 @@ class DetailedChannel
     /** Largest bypass count over the queued writes (invariant hook). */
     std::uint32_t maxQueuedBypasses() const;
 
-    void saveState(StateWriter &out) const;
-    void loadState(StateReader &in);
+    /** Warm-state checkpoint: the command channel's bank/bus/refresh
+     *  state, then the write queue. */
+    void
+    saveState(StateWriter &out) const
+    {
+        cmd_.saveState(out);
+        out.pod(wq_);
+        out.pod(wqSize_);
+    }
+
+    void
+    loadState(StateReader &in)
+    {
+        cmd_.loadState(in);
+        in.pod(wq_);
+        in.pod(wqSize_);
+    }
 
   private:
-    static constexpr std::uint64_t kNoRow = ~0ull;
-
-    struct BankState
-    {
-        std::uint64_t openRow = kNoRow;
-        Cycle busyUntil = 0;     //!< next-column-command gate
-        Cycle activatedAt = 0;   //!< last activate (tRAS / tRC)
-        Cycle prechargeOkAt = 0; //!< earliest precharge (tRTP / tWR)
-    };
-
     struct WriteEntry
     {
         std::uint64_t row = 0;
@@ -89,78 +97,35 @@ class DetailedChannel
         std::uint32_t pad = 0; //!< keep the checkpoint image defined
     };
 
-    Cycle activateAllowedAt(Cycle t) const;
-    void noteActivate(Cycle t);
-    Cycle applyRefresh(Cycle t);
-
-    /** Time one actual DRAM command (the shared bank/bus arithmetic). */
-    DramAccessTiming performCommand(int bank, std::uint64_t row,
-                                    std::uint32_t bytes, bool is_write,
-                                    Cycle now);
-
     /** Retire the FR-FCFS pick from the write queue (row hit first,
      *  oldest otherwise). */
     void drainOne(Cycle now);
 
-    /** Retire the oldest queued write (the one that hit the
-     *  starvation cap). */
-    void drainOldest(Cycle now);
+    /** Retire queued write `idx`: remove it, keeping queue order, and
+     *  perform it on the command channel. */
+    void drainAt(int idx, Cycle now);
 
-    void removeQueued(int idx);
-
-    DramTimingCpu timing_;
-    std::vector<BankState> banks_;
-    Cycle busFreeAt_ = 0;
-    bool lastBurstWasWrite_ = false;
-    Cycle lastActivate_ = 0;
-    Cycle nextRefreshAt_ = 0;
-    Cycle refreshBusyUntil_ = 0;
-    Cycle actWindow_[4] = {0, 0, 0, 0};
-    int actWindowIdx_ = 0;
-    std::uint64_t actCount_ = 0;
+    /** Every actual DRAM command -- reads and drained writes -- is
+     *  timed here. */
+    DramChannel cmd_;
     /** Fixed-capacity queue: the checkpoint image must be size-stable
      *  (state_io.hh restores vectors in place). */
     std::array<WriteEntry, kWriteQueueDepth> wq_{};
     int wqSize_ = 0;
-    DramChannelStats stats_;
     MemoryQueueStats qstats_;
 };
 
 /** The detailed pool: DetailedChannel behind the shared interleaving. */
-class DetailedBackend final : public MemoryBackend
+class DetailedBackend final : public ChannelPool<DetailedChannel>
 {
   public:
     DetailedBackend(const DramOrganization &org,
-                    const DramTimingParams &params);
+                    const DramTimingParams &params)
+        : ChannelPool(org, params)
+    {
+    }
 
-    DramAccessTiming rowAccess(std::uint64_t row_idx, std::uint32_t bytes,
-                               bool is_write, Cycle earliest) override;
-
-    DramPoolStats stats() const override;
-    void resetStats() override;
     MemoryQueueStats queueStats() const override;
-
-    void
-    saveState(StateWriter &out) const override
-    {
-        for (const DetailedChannel &ch : channels_)
-            ch.saveState(out);
-    }
-
-    void
-    loadState(StateReader &in) override
-    {
-        for (DetailedChannel &ch : channels_)
-            ch.loadState(in);
-    }
-
-    /** Per-channel access for the invariant tests. */
-    DetailedChannel &channel(int idx) { return channels_[idx]; }
-
-  private:
-    FastDiv64 chDiv_;
-    FastDiv64 bankDiv_;
-    std::vector<DetailedChannel> channels_;
 };
 
 } // namespace unison

@@ -11,10 +11,6 @@
 #ifndef UNISON_DRAM_DRAM_HH
 #define UNISON_DRAM_DRAM_HH
 
-#include <cstdint>
-#include <vector>
-
-#include "common/fastdiv.hh"
 #include "dram/backend.hh"
 #include "dram/channel.hh"
 #include "dram/timing.hh"
@@ -26,42 +22,13 @@ namespace unison {
  * backend; its per-access cost is a handful of compares, so it is also
  * the one the sweeps run.
  */
-class DramModule final : public MemoryBackend
+class DramModule final : public ChannelPool<DramChannel>
 {
   public:
-    DramModule(const DramOrganization &org, const DramTimingParams &params);
-
-    DramAccessTiming rowAccess(std::uint64_t row_idx, std::uint32_t bytes,
-                               bool is_write, Cycle earliest) override;
-
-    /** Sum the per-channel counters. */
-    DramPoolStats stats() const override;
-    void resetStats() override;
-
-    /** Warm-state checkpoint of every channel's timing state. */
-    void
-    saveState(StateWriter &out) const override
+    DramModule(const DramOrganization &org, const DramTimingParams &params)
+        : ChannelPool(org, params, org.openRowWindow)
     {
-        for (const DramChannel &ch : channels_)
-            ch.saveState(out);
     }
-
-    void
-    loadState(StateReader &in) override
-    {
-        for (DramChannel &ch : channels_)
-            ch.loadState(in);
-    }
-
-  private:
-    /** Invariant-divisor splits of the row index (the channel/bank
-     *  counts are runtime values, so plain '/' was a hardware divide
-     *  on every access). */
-    FastDiv64 chDiv_;
-    FastDiv64 bankDiv_;
-    /** By value: the per-access channel lookup is one index, not a
-     *  pointer chase. */
-    std::vector<DramChannel> channels_;
 };
 
 } // namespace unison
