@@ -3,15 +3,18 @@
  * The FetchPolicy layer of the DRAM-cache policy framework: what a
  * design fetches from off-chip memory on a trigger miss.
  *
- * The paper's design space has three points, all expressed here:
+ * The paper's design space has three points. Two are expressed here,
+ * by one policy:
  *
  *  - footprint-predicted (Unison Cache, Footprint Cache): an FHT keyed
  *    by the trigger (PC, offset) predicts the page's footprint, and a
  *    singleton table lets one-block pages bypass allocation entirely;
  *  - full-page: the same policy with prediction disabled -- every
- *    trigger miss fetches the whole page;
- *  - single-block (Alloy Cache): SingleBlockFetchPolicy,
- *    which fetches exactly the demanded block and learns nothing.
+ *    trigger miss fetches the whole page.
+ *
+ * The third, single-block (Alloy Cache), needs no policy: the block
+ * body (baselines/alloy_cache.cc) fetches exactly the demanded block
+ * through the fill engine and learns nothing.
  *
  * The policies own the predictor state (predictors/footprint_table.hh,
  * predictors/singleton_table.hh) and make decisions; issuing the
@@ -167,22 +170,6 @@ class FootprintFetchPolicy
     Config config_;
     FootprintHistoryTable fht_;
     SingletonTable singletons_;
-};
-
-/** Fetch exactly the demanded block; learn nothing (Alloy). */
-struct SingleBlockFetchPolicy
-{
-    FetchDecision
-    onTriggerMiss(std::uint64_t, Pc, std::uint32_t offset,
-                  std::uint32_t) const
-    {
-        return {1u << offset, false};
-    }
-
-    void trainEviction(std::uint32_t, std::uint32_t, std::uint32_t) {}
-    void resetStats() {}
-    void saveState(StateWriter &) const {}
-    void loadState(StateReader &) {}
 };
 
 } // namespace unison

@@ -90,25 +90,6 @@ class AccessSource
      */
     virtual bool next(int core, MemoryAccess &out) = 0;
 
-    /**
-     * Fill up to `max` consecutive references for `core` into the
-     * contiguous array `out` and return how many were produced (0 =
-     * stream exhausted). For sources where amortization wins --
-     * chunked trace-file decoding, bulk trace capture -- this is the
-     * fast entry point; the timing model itself consumes one record
-     * at a time (measurement showed staging records through memory
-     * costs more than the dispatch it saves). The default forwards
-     * to next().
-     */
-    virtual std::size_t
-    nextBatch(int core, MemoryAccess *out, std::size_t max)
-    {
-        std::size_t produced = 0;
-        while (produced < max && next(core, out[produced]))
-            ++produced;
-        return produced;
-    }
-
     /** Number of cores the source provides streams for. */
     virtual int numCores() const = 0;
 

@@ -1,6 +1,5 @@
 #include "trace/tracefile.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -148,28 +147,6 @@ TraceReader::next(int core, MemoryAccess &out)
     out = buf.front();
     buf.popFront();
     return true;
-}
-
-std::size_t
-TraceReader::nextBatch(int core, MemoryAccess *out, std::size_t max)
-{
-    UNISON_ASSERT(core >= 0 && core < numCores_,
-                  "core ", core, " out of range");
-    AccessChunkBuffer &buf = buffers_[core];
-    std::size_t produced = 0;
-    while (produced < max) {
-        const std::size_t take = std::min(max - produced, buf.size());
-        if (take > 0) {
-            const MemoryAccess *src = buf.pending();
-            std::copy(src, src + take, out + produced);
-            buf.consume(take);
-            produced += take;
-            continue;
-        }
-        if (readChunk() == 0)
-            break;
-    }
-    return produced;
 }
 
 } // namespace unison

@@ -36,16 +36,9 @@ class AccessChunkBuffer
 {
   public:
     bool empty() const { return head_ == data_.size(); }
-    std::size_t size() const { return data_.size() - head_; }
 
     const MemoryAccess &front() const { return data_[head_]; }
     void popFront() { ++head_; }
-
-    /** Contiguous view of the pending records. */
-    const MemoryAccess *pending() const { return data_.data() + head_; }
-
-    /** Drop `n` pending records (n <= size()). */
-    void consume(std::size_t n) { head_ += n; }
 
     void
     push(const MemoryAccess &access)
@@ -115,11 +108,6 @@ class TraceReader final : public AccessSource
      * is supported.
      */
     bool next(int core, MemoryAccess &out) override;
-
-    /** Batched variant: decodes the file in kTraceReadChunk chunks and
-     *  hands out contiguous spans per core. */
-    std::size_t nextBatch(int core, MemoryAccess *out,
-                          std::size_t max) override;
 
     int numCores() const override { return numCores_; }
 

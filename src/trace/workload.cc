@@ -457,20 +457,6 @@ SyntheticWorkload::next(int core_idx, MemoryAccess &out)
     return generate(cores_[core_idx], core_idx, out);
 }
 
-std::size_t
-SyntheticWorkload::nextBatch(int core_idx, MemoryAccess *out,
-                             std::size_t max)
-{
-    UNISON_ASSERT(core_idx >= 0 && core_idx < params_.numCores,
-                  "core ", core_idx, " out of range");
-    // Identical record stream to `max` successive next() calls, with
-    // the bounds check and virtual dispatch hoisted out of the loop.
-    CoreState &core = cores_[core_idx];
-    for (std::size_t i = 0; i < max; ++i)
-        generate(core, core_idx, out[i]);
-    return max;
-}
-
 std::uint32_t
 SyntheticWorkload::functionMask(int f) const
 {

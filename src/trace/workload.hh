@@ -131,8 +131,6 @@ class SyntheticWorkload final : public AccessSource
     SyntheticWorkload(const WorkloadParams &params, std::uint64_t seed);
 
     bool next(int core, MemoryAccess &out) override;
-    std::size_t nextBatch(int core, MemoryAccess *out,
-                          std::size_t max) override;
     int numCores() const override { return params_.numCores; }
 
     bool checkpointable() const override { return true; }

@@ -262,14 +262,6 @@ TEST(FootprintFetchPolicy, TrainedPredictionAndSingletonLifecycle)
     EXPECT_NE(d.mask & (1u << 5), 0u);
 }
 
-TEST(SingleBlockFetchPolicy, FetchesExactlyTheDemandBlock)
-{
-    SingleBlockFetchPolicy policy;
-    const FetchDecision d = policy.onTriggerMiss(9, 0x1, 4, 0x7fffu);
-    EXPECT_EQ(d.mask, 1u << 4);
-    EXPECT_FALSE(d.bypassSingleton);
-}
-
 // ------------------------------------------- X-macro counter lists
 
 TEST(StatsFieldLists, ForEachCounterCoversEveryField)
